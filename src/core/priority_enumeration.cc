@@ -1,7 +1,6 @@
 #include "core/priority_enumeration.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -9,6 +8,37 @@
 #include "obs/trace.h"
 
 namespace robopt {
+
+namespace {
+
+/// Longest-path distance of every operator from the sink side (`to_sink`)
+/// or from the sources, over main and side edges alike.
+std::vector<int> LongestPathDistances(const LogicalPlan& plan, bool to_sink) {
+  std::vector<int> dist(plan.num_operators(), 0);
+  const std::vector<OperatorId> order = plan.TopologicalOrder();
+  if (to_sink) {
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      for (OperatorId child : plan.children(*it)) {
+        dist[*it] = std::max(dist[*it], dist[child] + 1);
+      }
+      for (OperatorId child : plan.side_children(*it)) {
+        dist[*it] = std::max(dist[*it], dist[child] + 1);
+      }
+    }
+  } else {
+    for (OperatorId op : order) {
+      for (OperatorId parent : plan.parents(op)) {
+        dist[op] = std::max(dist[op], dist[parent] + 1);
+      }
+      for (OperatorId parent : plan.side_parents(op)) {
+        dist[op] = std::max(dist[op], dist[parent] + 1);
+      }
+    }
+  }
+  return dist;
+}
+
+}  // namespace
 
 PriorityEnumerator::PriorityEnumerator(const EnumerationContext* ctx,
                                        const CostOracle* oracle,
@@ -19,48 +49,7 @@ PriorityEnumerator::PriorityEnumerator(const EnumerationContext* ctx,
       num_threads_(options.num_threads == 0 ? ThreadPool::HardwareThreads()
                                             : options.num_threads) {}
 
-double PriorityEnumerator::PriorityOf(size_t index) const {
-  const LogicalPlan& plan = *ctx_->plan;
-  const PlanVectorEnumeration& v = enums_[index];
-  switch (options_.priority) {
-    case PriorityMode::kPaper: {
-      // |V| x prod of children's sizes (Definition 3).
-      double priority = static_cast<double>(v.size());
-      std::set<size_t> children;
-      for (int op = 0; op < plan.num_operators(); ++op) {
-        if (!v.scope().test(op)) continue;
-        const auto id = static_cast<OperatorId>(op);
-        for (OperatorId child : plan.children(id)) {
-          if (owner_[child] != index) children.insert(owner_[child]);
-        }
-        for (OperatorId child : plan.side_children(id)) {
-          if (owner_[child] != index) children.insert(owner_[child]);
-        }
-      }
-      for (size_t child : children) {
-        priority *= static_cast<double>(enums_[child].size());
-      }
-      return priority;
-    }
-    case PriorityMode::kBottomUp: {
-      int best = 0;
-      for (int op = 0; op < plan.num_operators(); ++op) {
-        if (v.scope().test(op)) best = std::max(best, dist_to_sink_[op]);
-      }
-      return best;
-    }
-    case PriorityMode::kTopDown: {
-      int best = 0;
-      for (int op = 0; op < plan.num_operators(); ++op) {
-        if (v.scope().test(op)) best = std::max(best, dist_to_source_[op]);
-      }
-      return best;
-    }
-  }
-  return 0.0;
-}
-
-StatusOr<EnumerationResult> PriorityEnumerator::Run() {
+StatusOr<EnumerationResult> PriorityEnumerator::Run() const {
   const LogicalPlan& plan = *ctx_->plan;
   const int n = plan.num_operators();
   EnumerationResult result;
@@ -77,58 +66,85 @@ StatusOr<EnumerationResult> PriorityEnumerator::Run() {
   const uint64_t parent = options_.obs.parent_span;
   Stopwatch phase_clock;
 
-  // Longest-path distances for the top-down/bottom-up priorities.
-  dist_to_sink_.assign(n, 0);
-  dist_to_source_.assign(n, 0);
-  const std::vector<OperatorId> order = plan.TopologicalOrder();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    for (OperatorId child : plan.children(*it)) {
-      dist_to_sink_[*it] =
-          std::max(dist_to_sink_[*it], dist_to_sink_[child] + 1);
-    }
-    for (OperatorId child : plan.side_children(*it)) {
-      dist_to_sink_[*it] =
-          std::max(dist_to_sink_[*it], dist_to_sink_[child] + 1);
-    }
-  }
-  for (OperatorId op : order) {
-    for (OperatorId parent : plan.parents(op)) {
-      dist_to_source_[op] =
-          std::max(dist_to_source_[op], dist_to_source_[parent] + 1);
-    }
-    for (OperatorId parent : plan.side_parents(op)) {
-      dist_to_source_[op] =
-          std::max(dist_to_source_[op], dist_to_source_[parent] + 1);
-    }
-  }
-
   // Lines 2-5: vectorize, split into singletons, enumerate each, enqueue.
   if (timed) phase_clock.Restart();
   SpanScope vectorize_span(tracer, trace, parent, "vectorize");
   const AbstractPlanVector abstract = Vectorize(*ctx_);
   const std::vector<AbstractPlanVector> singles = Split(*ctx_, abstract);
-  enums_.reserve(singles.size());
+  std::vector<PlanVectorEnumeration> enums;
+  enums.reserve(singles.size());
   for (const AbstractPlanVector& single : singles) {
-    enums_.push_back(Enumerate(*ctx_, single));
-    result.stats.vectors_created += enums_.back().size();
+    enums.push_back(Enumerate(*ctx_, single));
+    result.stats.vectors_created += enums.back().size();
   }
   if (timed) {
-    vectorize_span.SetArgA("singletons",
-                           static_cast<int64_t>(enums_.size()));
+    vectorize_span.SetArgA("singletons", static_cast<int64_t>(enums.size()));
     vectorize_span.SetArgB("vectors",
                            static_cast<int64_t>(result.stats.vectors_created));
     if (prof != nullptr) prof->phase.vectorize_us += phase_clock.ElapsedMicros();
   }
   vectorize_span.End();
-  alive_.assign(enums_.size(), 1);
-  seq_.assign(enums_.size(), 0);
-  owner_.assign(n, 0);
-  for (size_t i = 0; i < enums_.size(); ++i) {
-    for (int op = 0; op < n; ++op) {
-      if (enums_[i].scope().test(op)) owner_[op] = i;
+
+  // The queue of Algorithm 1, kept incrementally (see DESIGN.md, "Algorithm
+  // 1"). Per enumeration: its child enumerations — those owning a child
+  // operator of its scope — and, mirrored, its parents (the enumerations
+  // listing it), both ascending; and its cached queue keys. A merge updates
+  // only the lists and priorities it changes; nothing rescans operators.
+  if (timed) phase_clock.Restart();
+  const size_t count = enums.size();
+  std::vector<uint8_t> alive(count, 1);
+  std::vector<std::vector<size_t>> children(count);
+  std::vector<std::vector<size_t>> parents(count);
+  std::vector<double> priority(count, 0.0);
+  std::vector<size_t> boundary_size(count);
+  std::vector<uint64_t> seq(count, 0);  // Queue-entry order for tie-breaks.
+  {
+    std::vector<size_t> owner(n, 0);  // Op id -> singleton index.
+    for (size_t i = 0; i < count; ++i) {
+      for (OperatorId op : singles[i].ops) owner[op] = i;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      std::vector<size_t>& list = children[i];
+      for (OperatorId op : singles[i].ops) {
+        for (OperatorId child : plan.children(op)) list.push_back(owner[child]);
+        for (OperatorId child : plan.side_children(op)) {
+          list.push_back(owner[child]);
+        }
+      }
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+      list.erase(std::remove(list.begin(), list.end(), i), list.end());
+      for (size_t child : list) parents[child].push_back(i);  // Ascending.
+      boundary_size[i] = enums[i].boundary().size();
     }
   }
-  uint64_t seq_counter = enums_.size();
+  // kPaper: |V| x prod of children's sizes (Definition 3). The product is
+  // taken in ascending child index: floating-point rounding depends on the
+  // order, and with it which priorities tie (see DESIGN.md).
+  auto paper_priority = [&](size_t i) {
+    double p = static_cast<double>(enums[i].size());
+    for (size_t child : children[i]) {
+      p *= static_cast<double>(enums[child].size());
+    }
+    return p;
+  };
+  if (options_.priority == PriorityMode::kPaper) {
+    for (size_t i = 0; i < count; ++i) priority[i] = paper_priority(i);
+  } else {
+    // Top-down ranks by distance from the sources, bottom-up by distance
+    // from the sink; an enumeration's priority is the max over its scope.
+    const std::vector<int> dist = LongestPathDistances(
+        plan, /*to_sink=*/options_.priority == PriorityMode::kBottomUp);
+    for (size_t i = 0; i < count; ++i) {
+      for (OperatorId op : singles[i].ops) {
+        priority[i] = std::max(priority[i], static_cast<double>(dist[op]));
+      }
+    }
+  }
+  uint64_t seq_counter = count;
+  if (timed && prof != nullptr) {
+    prof->phase.schedule_us += phase_clock.ElapsedMicros();
+  }
 
   const size_t oracle_rows_before = oracle_->rows_estimated();
   const size_t oracle_batches_before = oracle_->batches();
@@ -208,49 +224,31 @@ StatusOr<EnumerationResult> PriorityEnumerator::Run() {
     return pruned;
   };
 
-  size_t alive_count = enums_.size();
+  size_t alive_count = count;
+  std::vector<size_t> round_children;
   SpanScope enumerate_span(tracer, trace, parent, "enumerate");
   while (alive_count > 1) {
     // Dequeue: highest priority among enumerations that have children; ties
     // broken by smaller boundary (fewer new boundary operators), then queue
     // entry order.
+    if (timed) phase_clock.Restart();
     size_t best = SIZE_MAX;
-    double best_priority = -1.0;
-    std::vector<size_t> best_children;
-    for (size_t i = 0; i < enums_.size(); ++i) {
-      if (!alive_[i]) continue;
-      std::set<size_t> children;
-      for (int op = 0; op < n; ++op) {
-        if (!enums_[i].scope().test(op)) continue;
-        const auto id = static_cast<OperatorId>(op);
-        for (OperatorId child : plan.children(id)) {
-          if (owner_[child] != i) children.insert(owner_[child]);
-        }
-        for (OperatorId child : plan.side_children(id)) {
-          if (owner_[child] != i) children.insert(owner_[child]);
-        }
-      }
-      if (children.empty()) continue;
-      const double priority = PriorityOf(i);
+    for (size_t i = 0; i < count; ++i) {
+      if (!alive[i] || children[i].empty()) continue;
       const bool wins =
-          best == SIZE_MAX || priority > best_priority ||
-          (priority == best_priority &&
-           (enums_[i].boundary().size() < enums_[best].boundary().size() ||
-            (enums_[i].boundary().size() == enums_[best].boundary().size() &&
-             seq_[i] < seq_[best])));
-      if (wins) {
-        best = i;
-        best_priority = priority;
-        best_children.assign(children.begin(), children.end());
-      }
+          best == SIZE_MAX || priority[i] > priority[best] ||
+          (priority[i] == priority[best] &&
+           (boundary_size[i] < boundary_size[best] ||
+            (boundary_size[i] == boundary_size[best] && seq[i] < seq[best])));
+      if (wins) best = i;
     }
 
     if (best == SIZE_MAX) {
       // Disconnected plan components: merge the first two alive directly.
       size_t first = SIZE_MAX;
       size_t second = SIZE_MAX;
-      for (size_t i = 0; i < enums_.size() && second == SIZE_MAX; ++i) {
-        if (!alive_[i]) continue;
+      for (size_t i = 0; i < count && second == SIZE_MAX; ++i) {
+        if (!alive[i]) continue;
         if (first == SIZE_MAX) {
           first = i;
         } else {
@@ -259,16 +257,19 @@ StatusOr<EnumerationResult> PriorityEnumerator::Run() {
       }
       ROBOPT_CHECK(second != SIZE_MAX);
       best = first;
-      best_children = {second};
+      children[best] = {second};
+    }
+    round_children.swap(children[best]);
+    if (timed && prof != nullptr) {
+      prof->phase.schedule_us += phase_clock.ElapsedMicros();
     }
 
     // Lines 8-14: concatenate with each child, pruning after each step.
-    for (size_t child : best_children) {
-      if (!alive_[child] || child == best) continue;
+    for (size_t child : round_children) {
       if (timed) phase_clock.Restart();
       SpanScope concat_span(tracer, trace, enumerate_span.id(), "concat");
       PlanVectorEnumeration merged =
-          Concat(*ctx_, enums_[best], enums_[child], num_threads_);
+          Concat(*ctx_, enums[best], enums[child], num_threads_);
       result.stats.vectors_created += merged.size();
       ++result.stats.concat_steps;
       if (timed) {
@@ -284,27 +285,69 @@ StatusOr<EnumerationResult> PriorityEnumerator::Run() {
       }
       // alive_count == 2 here means this merge leaves one enumeration —
       // the final, full-scope one whose prune batch feeds the harvest.
-      enums_[best] = prune(std::move(merged), enumerate_span.id(),
-                           /*harvest_runners=*/alive_count == 2);
-      alive_[child] = 0;
+      enums[best] = prune(std::move(merged), enumerate_span.id(),
+                          /*harvest_runners=*/alive_count == 2);
+      alive[child] = 0;
       --alive_count;
-      for (int op = 0; op < n; ++op) {
-        if (owner_[op] == child) owner_[op] = best;
-      }
-      enums_[child] = PlanVectorEnumeration(0, 0);  // Release memory.
+      enums[child] = PlanVectorEnumeration(0, 0);  // Release memory.
     }
-    seq_[best] = ++seq_counter;
+
+    // Bookkeeping. Lists only ever hold alive enumerations, so every dead
+    // entry met below is a child merged into `best` this round: best takes
+    // over the merged children's children and parents, and their lists
+    // swap the dead entries for `best`.
+    if (timed) phase_clock.Restart();
+    auto absorbed = [&](size_t e) { return !alive[e] || e == best; };
+    std::vector<size_t>& best_children = children[best];
+    std::vector<size_t>& best_parents = parents[best];
+    for (size_t child : round_children) {
+      best_children.insert(best_children.end(), children[child].begin(),
+                           children[child].end());
+      best_parents.insert(best_parents.end(), parents[child].begin(),
+                          parents[child].end());
+      if (options_.priority != PriorityMode::kPaper) {
+        priority[best] = std::max(priority[best], priority[child]);
+      }
+    }
+    round_children.clear();
+    for (std::vector<size_t>* list : {&best_children, &best_parents}) {
+      list->erase(std::remove_if(list->begin(), list->end(), absorbed),
+                  list->end());
+      std::sort(list->begin(), list->end());
+      list->erase(std::unique(list->begin(), list->end()), list->end());
+    }
+    auto relink = [&](std::vector<size_t>& list) {
+      list.erase(std::remove_if(list.begin(), list.end(), absorbed),
+                 list.end());
+      list.insert(std::lower_bound(list.begin(), list.end(), best), best);
+    };
+    for (size_t grandchild : best_children) relink(parents[grandchild]);
+    for (size_t lister : best_parents) {
+      relink(children[lister]);
+      // Under kPaper a lister's priority reads best's new size.
+      if (options_.priority == PriorityMode::kPaper) {
+        priority[lister] = paper_priority(lister);
+      }
+    }
+    if (options_.priority == PriorityMode::kPaper) {
+      priority[best] = paper_priority(best);
+    }
+    boundary_size[best] = enums[best].boundary().size();
+    seq[best] = ++seq_counter;
+    if (timed && prof != nullptr) {
+      prof->phase.schedule_us += phase_clock.ElapsedMicros();
+    }
   }
 
   enumerate_span.End();
 
   // Line 18: pick the cheapest full plan vector and unvectorize it.
   size_t final_index = SIZE_MAX;
-  for (size_t i = 0; i < enums_.size(); ++i) {
-    if (alive_[i]) final_index = i;
+  for (size_t i = 0; i < count; ++i) {
+    if (alive[i]) final_index = i;
   }
   ROBOPT_CHECK(final_index != SIZE_MAX);
-  PlanVectorEnumeration& final_enum = enums_[final_index];
+  PlanVectorEnumeration& final_enum = enums[final_index];
   if (final_enum.size() == 0) {
     return Status::Internal("enumeration produced no plans");
   }

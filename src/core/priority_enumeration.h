@@ -98,7 +98,8 @@ struct EnumerationResult {
 /// Algorithm 1: priority-based plan enumeration built from the algebraic
 /// operations — vectorize+split into singletons, enumerate each, then
 /// concatenate in priority order, pruning after every child concatenation.
-/// Lossless pruning makes the result optimal w.r.t. the oracle.
+/// Lossless pruning makes the result optimal w.r.t. the oracle. All
+/// per-run state lives in Run(), so one enumerator may be run repeatedly.
 class PriorityEnumerator {
  public:
   /// `ctx` and `oracle` must outlive the enumerator. The oracle is used both
@@ -106,22 +107,13 @@ class PriorityEnumerator {
   PriorityEnumerator(const EnumerationContext* ctx, const CostOracle* oracle,
                      EnumeratorOptions options = {});
 
-  StatusOr<EnumerationResult> Run();
+  StatusOr<EnumerationResult> Run() const;
 
  private:
-  double PriorityOf(size_t index) const;
-
   const EnumerationContext* ctx_;
   const CostOracle* oracle_;
   EnumeratorOptions options_;
   int num_threads_;  ///< options_.num_threads with 0 resolved to hardware.
-
-  std::vector<PlanVectorEnumeration> enums_;
-  std::vector<uint8_t> alive_;
-  std::vector<size_t> owner_;     // op id -> enumeration index.
-  std::vector<uint64_t> seq_;     // Queue-entry order for tie-breaking.
-  std::vector<int> dist_to_sink_;
-  std::vector<int> dist_to_source_;
 };
 
 }  // namespace robopt

@@ -44,6 +44,9 @@ struct ObsOptions {
 /// the enumeration phases of Algorithm 1.
 struct OptimizePhaseMicros {
   double vectorize_us = 0.0;    ///< Vectorize + Split + singleton Enumerates.
+  /// Algorithm 1's queue: building the child lists and priorities, every
+  /// dequeue and the per-round bookkeeping (one accumulated value).
+  double schedule_us = 0.0;
   double concat_us = 0.0;       ///< All pairwise Concat merges.
   double prune_us = 0.0;        ///< All prune steps (oracle batches included).
   double predict_us = 0.0;      ///< Final getOptimal (ArgMinCost batch).

@@ -1,6 +1,8 @@
 /// End-to-end observability coverage over the real stack:
 ///   - span-tree well-formedness for an optimize + execute round trip on a
 ///     multi-platform registry, exported to a loadable Chrome trace;
+///   - the optimize profile's phases, Algorithm 1's queue included, fit in
+///     the call's total;
 ///   - bit-identical results with observability on vs. off;
 ///   - snapshot-vs-struct equality for every stats struct with an
 ///     ExportTo() hook (serve, feedback, plan cache, drift, recovery,
@@ -31,6 +33,7 @@
 #include "workload/trace_replay.h"
 #include "workloads/datagen.h"
 #include "workloads/queries.h"
+#include "workloads/synthetic.h"
 
 namespace robopt {
 namespace {
@@ -169,6 +172,23 @@ TEST_F(ObsRoundTripTest, SpanTreeIsWellFormedAcrossOptimizeAndExecute) {
   EXPECT_DOUBLE_EQ(
       snap.Value("robopt_optimize_vectors_created_total"),
       static_cast<double>(optimized->stats.vectors_created));
+}
+
+TEST_F(ObsRoundTripTest, OptimizeProfilePhasesFitInTotal) {
+  // A multi-operator plan: Algorithm 1's queue does real work, and the
+  // phases (each timed disjointly) account for no more than the call.
+  const LogicalPlan plan = MakeSyntheticPipeline(40, 1e7, 3);
+  OptimizeOptions opt;
+  opt.obs.profile = true;
+  auto optimized = optimizer_.Optimize(plan, nullptr, opt);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  const OptimizePhaseMicros& phase = optimized->profile.phase;
+  EXPECT_GT(phase.schedule_us, 0.0);
+  EXPECT_GT(phase.concat_us, 0.0);
+  const double phases = phase.vectorize_us + phase.schedule_us +
+                        phase.concat_us + phase.prune_us + phase.predict_us +
+                        phase.unvectorize_us;
+  EXPECT_LE(phases, phase.total_us);
 }
 
 TEST_F(ObsRoundTripTest, ObservabilityOnAndOffAreBitIdentical) {
