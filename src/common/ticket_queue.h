@@ -36,9 +36,12 @@ class TicketQueue {
   bool TryEnter(uint64_t* ticket) {
     uint64_t next = next_.load(std::memory_order_relaxed);
     for (;;) {
-      if (next - serving_.load(std::memory_order_relaxed) >= capacity_) {
-        return false;
-      }
+      // A stale `next` can trail serving_ (others entered and left since
+      // it was read); its unsigned difference would wrap and shed a request
+      // into a near-empty queue. Only a current view may shed: a stale one
+      // fails the CAS below, which refreshes it.
+      const uint64_t serving = serving_.load(std::memory_order_relaxed);
+      if (next >= serving && next - serving >= capacity_) return false;
       if (next_.compare_exchange_weak(next, next + 1,
                                       std::memory_order_relaxed)) {
         *ticket = next;

@@ -59,7 +59,7 @@ struct DecisionRecord {
   uint64_t fp_lo = 0;   ///< Canonical plan fingerprint (0 if not computed).
   uint64_t fp_hi = 0;
   uint64_t options_hash = 0;  ///< PlanCache::HashOptions of caller options.
-  uint32_t shard = 0;         ///< Shard routed (0 on the legacy path).
+  uint32_t shard = 0;         ///< Shard the request was routed to.
   StatusCode status = StatusCode::kOk;
   ShedReason shed = ShedReason::kNone;
   DecisionCacheResult cache = DecisionCacheResult::kDisabled;

@@ -25,7 +25,7 @@ OperatorId LogicalPlan::Add(LogicalOperator op) {
   children_.emplace_back();
   side_parents_.emplace_back();
   side_children_.emplace_back();
-  loop_dirty_ = true;
+  loop_.dirty.store(true);
   return ops_.back().id;
 }
 
@@ -43,14 +43,14 @@ void LogicalPlan::Connect(OperatorId from, OperatorId to) {
   ROBOPT_CHECK(from < ops_.size() && to < ops_.size());
   children_[from].push_back(to);
   parents_[to].push_back(from);
-  loop_dirty_ = true;
+  loop_.dirty.store(true);
 }
 
 void LogicalPlan::ConnectBroadcast(OperatorId from, OperatorId to) {
   ROBOPT_CHECK(from < ops_.size() && to < ops_.size());
   side_children_[from].push_back(to);
   side_parents_[to].push_back(from);
-  loop_dirty_ = true;
+  loop_.dirty.store(true);
 }
 
 std::vector<OperatorId> LogicalPlan::AllParents(OperatorId id) const {
@@ -158,10 +158,31 @@ std::vector<OperatorId> LogicalPlan::TopologicalOrder() const {
   return order;
 }
 
+LogicalPlan::LoopCache::LoopCache(const LoopCache& other) {
+  std::lock_guard<std::mutex> lock(other.mu);
+  dirty.store(other.dirty.load());
+  in_loop = other.in_loop;
+  iters = other.iters;
+}
+
+LogicalPlan::LoopCache& LogicalPlan::LoopCache::operator=(
+    const LoopCache& other) {
+  if (this == &other) return *this;
+  std::scoped_lock lock(mu, other.mu);
+  dirty.store(other.dirty.load());
+  in_loop = other.in_loop;
+  iters = other.iters;
+  return *this;
+}
+
 void LogicalPlan::ComputeLoopMembership() const {
-  if (!loop_dirty_) return;
-  in_loop_.assign(ops_.size(), 0);
-  loop_iters_.assign(ops_.size(), 1);
+  if (!loop_.dirty.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(loop_.mu);
+  if (!loop_.dirty.load(std::memory_order_relaxed)) return;
+  std::vector<uint8_t>& in_loop = loop_.in_loop;
+  std::vector<int>& loop_iters = loop_.iters;
+  in_loop.assign(ops_.size(), 0);
+  loop_iters.assign(ops_.size(), 1);
   // An operator is in a loop body if it is forward-reachable from a LoopBegin
   // and its matching LoopEnd is forward-reachable from the operator.
   for (const LogicalOperator& op : ops_) {
@@ -199,22 +220,22 @@ void LogicalPlan::ComputeLoopMembership() const {
     const int iterations = std::max(1, ops_[begin].loop_iterations);
     for (size_t i = 0; i < ops_.size(); ++i) {
       if (from_begin[i] && to_end[i]) {
-        in_loop_[i] = 1;
-        loop_iters_[i] *= iterations;  // Nested loops multiply.
+        in_loop[i] = 1;
+        loop_iters[i] *= iterations;  // Nested loops multiply.
       }
     }
   }
-  loop_dirty_ = false;
+  loop_.dirty.store(false, std::memory_order_release);
 }
 
 bool LogicalPlan::InLoop(OperatorId id) const {
   ComputeLoopMembership();
-  return in_loop_[id] != 0;
+  return loop_.in_loop[id] != 0;
 }
 
 int LogicalPlan::LoopIterations(OperatorId id) const {
   ComputeLoopMembership();
-  return loop_iters_[id];
+  return loop_.iters[id];
 }
 
 std::vector<OperatorId> LogicalPlan::LoopBody(OperatorId begin) const {
@@ -266,7 +287,7 @@ std::vector<Topology> LogicalPlan::OperatorTopologies() const {
   ComputeLoopMembership();
   std::vector<Topology> out(ops_.size(), Topology::kPipeline);
   for (const LogicalOperator& op : ops_) {
-    if (in_loop_[op.id]) {
+    if (loop_.in_loop[op.id]) {
       out[op.id] = Topology::kLoop;
     } else if (parents_[op.id].size() >= 2) {
       out[op.id] = Topology::kJuncture;

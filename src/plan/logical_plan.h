@@ -1,7 +1,9 @@
 #ifndef ROBOPT_PLAN_LOGICAL_PLAN_H_
 #define ROBOPT_PLAN_LOGICAL_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -166,10 +168,22 @@ class LogicalPlan {
   std::vector<std::vector<OperatorId>> children_;
   std::vector<std::vector<OperatorId>> side_parents_;
   std::vector<std::vector<OperatorId>> side_children_;
-  // Lazily computed loop membership; invalidated on mutation.
-  mutable std::vector<uint8_t> in_loop_;
-  mutable std::vector<int> loop_iters_;
-  mutable bool loop_dirty_ = true;
+
+  /// Lazily computed loop membership, invalidated on mutation. Const
+  /// callers may race to fill it (several serving threads optimizing one
+  /// shared plan), so the fill runs once under `mu` and publishes through
+  /// `dirty`. A copy takes the data and a fresh mutex.
+  struct LoopCache {
+    LoopCache() = default;
+    LoopCache(const LoopCache& other);
+    LoopCache& operator=(const LoopCache& other);
+
+    mutable std::mutex mu;
+    std::atomic<bool> dirty{true};
+    std::vector<uint8_t> in_loop;
+    std::vector<int> iters;
+  };
+  mutable LoopCache loop_;
 };
 
 }  // namespace robopt

@@ -1,6 +1,7 @@
 #include "serve/optimizer_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -198,9 +199,14 @@ struct OptimizerService::Shard {
   /// on this shard; rebuilt on re-pin). Null when the budget is 0.
   std::unique_ptr<CachingCostOracle> memo_exact;
   std::unique_ptr<CachingCostOracle> memo_quantized;
-  /// Breaker fan-out state: last reconciled trip epoch and per-platform
-  /// trip counts (mirrors the legacy path's last_trips_, but per shard).
+  /// Trip epoch this shard's serving turn last reconciled at.
   uint64_t seen_trip_epoch = 0;
+
+  // --- Breaker fan-out (under trip_mu) ---
+  /// Orders a reconcile (eager, from any failure thread) against the
+  /// serving turn's cache insert; see RunOnShard.
+  std::mutex trip_mu;
+  /// Per-platform trip counts already reconciled against `cache`.
   std::array<uint64_t, kMaxPlatforms> last_trips{};
 
   // --- Read concurrently by producers at admission ---
@@ -240,9 +246,8 @@ void ServeStats::ExportTo(MetricsRegistry* registry) const {
                 static_cast<double>(experience_rows));
   registry->Set("robopt_serve_holdout_rows",
                 static_cast<double>(holdout_rows));
-  // Sharded-serving aggregates, exported unconditionally (all zero except
-  // the count on the legacy path) so the metric table is stable across
-  // shard configurations.
+  // Sharded-serving aggregates and the per-shard breakdown (label style
+  // matches the breaker and feedback-stripe gauges).
   registry->Set("robopt_shard_count", static_cast<double>(num_shards));
   registry->Set("robopt_shard_processed_total",
                 static_cast<double>(shard_processed));
@@ -258,8 +263,6 @@ void ServeStats::ExportTo(MetricsRegistry* registry) const {
                 static_cast<double>(router_rebalances));
   registry->Set("robopt_router_slots_moved_total",
                 static_cast<double>(router_slots_moved));
-  // Per-shard breakdown (sharded mode only; label style matches the
-  // breaker and feedback-stripe gauges).
   for (size_t i = 0; i < shards.size(); ++i) {
     const ShardStats& shard = shards[i];
     const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
@@ -335,15 +338,12 @@ OptimizerService::OptimizerService(const PlatformRegistry* registry,
       schema_(schema),
       options_(std::move(options)),
       models_(options_.model_history),
-      optimizer_(registry, schema,
-                 static_cast<const OracleProvider*>(&models_)),
       // Feedback stripes match the shard count, so per-stripe drop counters
       // read as per-shard feedback loss next to the shed counters.
       collector_(options_.feedback_capacity,
                  static_cast<size_t>(
                      ShardRouter::ResolveShardCount(options_.num_shards))),
       experience_(schema),
-      plan_cache_(options_.plan_cache_capacity),
       base_train_(schema->width()),
       holdout_(schema->width()),
       last_train_(std::chrono::steady_clock::now()),
@@ -364,28 +364,23 @@ OptimizerService::OptimizerService(const PlatformRegistry* registry,
     slo_ = std::make_unique<SloEngine>(options_.slo.objectives,
                                        latency_sketch_.get());
   }
-  num_shards_resolved_ = ShardRouter::ResolveShardCount(options_.num_shards);
-  if (num_shards_resolved_ > 1) {
-    router_ = std::make_unique<ShardRouter>(num_shards_resolved_,
-                                            options_.router_slots);
-    // The configured capacity is a service-wide budget, split evenly; each
-    // shard keeps at least one entry so warm routing still pays off at
-    // tiny capacities. 0 stays 0 (cache disabled everywhere).
-    const size_t per_shard_cache =
-        options_.plan_cache_capacity == 0
-            ? 0
-            : std::max<size_t>(1, options_.plan_cache_capacity /
-                                      static_cast<size_t>(
-                                          num_shards_resolved_));
-    const uint64_t queue_capacity =
-        options_.shard_queue_capacity == 0 ? 1
-                                           : options_.shard_queue_capacity;
-    shards_.reserve(static_cast<size_t>(num_shards_resolved_));
-    for (int i = 0; i < num_shards_resolved_; ++i) {
-      shards_.push_back(std::make_unique<Shard>(registry, schema,
-                                                queue_capacity,
-                                                per_shard_cache));
-    }
+  const int num_shards = ShardRouter::ResolveShardCount(options_.num_shards);
+  router_ = std::make_unique<ShardRouter>(num_shards, options_.router_slots);
+  // The configured capacity is a service-wide budget, split evenly; each
+  // shard keeps at least one entry so warm routing still pays off at tiny
+  // capacities. 0 stays 0 (cache disabled everywhere).
+  const size_t per_shard_cache =
+      options_.plan_cache_capacity == 0
+          ? 0
+          : std::max<size_t>(1, options_.plan_cache_capacity /
+                                    static_cast<size_t>(num_shards));
+  const uint64_t queue_capacity =
+      options_.shard_queue_capacity == 0 ? 1 : options_.shard_queue_capacity;
+  shards_.reserve(static_cast<size_t>(num_shards));
+  for (int i = 0; i < num_shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>(registry, schema,
+                                              queue_capacity,
+                                              per_shard_cache));
   }
 }
 
@@ -412,34 +407,30 @@ StatusOr<OptimizerService::Result> OptimizerService::Optimize(
 StatusOr<OptimizerService::Result> OptimizerService::Optimize(
     const LogicalPlan& plan, const Cardinalities* cards,
     const OptimizeOptions& options, const RequestContext& ctx) {
+  // Choke point: every overload funnels here, so one stopwatch measures
+  // true end-to-end service latency (queue wait included) and one scratch
+  // collects the serving path's decision breadcrumbs.
+  const auto start = std::chrono::steady_clock::now();
   RequestObserver* observer = options_.request_observer;
   const bool diag_on = decisions_ != nullptr;
   const bool slo_on = slo_ != nullptr;
-  if (observer == nullptr && !diag_on && !slo_on) {
-    if (shards_.empty()) return OptimizeLegacy(plan, cards, options);
-    return OptimizeSharded(plan, cards, options, ctx);
-  }
-
-  // Diagnostics choke point: every overload funnels here, so one stopwatch
-  // measures true end-to-end service latency (queue wait included) and one
-  // scratch collects the inner paths' decision breadcrumbs.
-  const auto start = std::chrono::steady_clock::now();
   // Diagnostics ask for runner-up plans; the selection reuses the final
   // cost batch and is excluded from the cache key, so served plans stay
   // bit-identical and cache entries stay shared with diagnostics off.
-  OptimizeOptions effective = options;
+  OptimizeOptions with_runners;
   if (diag_on) {
-    effective.top_k_runners =
-        std::max(effective.top_k_runners,
+    with_runners = options;
+    with_runners.top_k_runners =
+        std::max(with_runners.top_k_runners,
                  std::min(options_.diagnostics.top_k_runners,
                           kDecisionRunners));
   }
-  PlanFingerprint fp;
   DecisionScratch scratch;
-  auto result =
-      shards_.empty()
-          ? OptimizeLegacy(plan, cards, effective, &fp, &scratch)
-          : OptimizeSharded(plan, cards, effective, ctx, &fp, &scratch);
+  auto result = OptimizeSharded(plan, cards, diag_on ? with_runners : options,
+                                ctx, start, &scratch);
+  if (observer == nullptr && !diag_on && !slo_on) return result;
+
+  const PlanFingerprint& fp = scratch.fp;
   const double latency_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - start)
@@ -488,11 +479,6 @@ StatusOr<OptimizerService::Result> OptimizerService::Optimize(
   }
 
   if (diag_on) {
-    if (fp.lo == 0 && fp.hi == 0) {
-      // Legacy path with the cache off never fingerprints; diagnostics
-      // want the identity anyway.
-      fp = FingerprintPlan(plan);
-    }
     DecisionRecord record;
     record.wall_us = std::chrono::duration<double, std::micro>(
                          start - service_epoch_)
@@ -543,108 +529,21 @@ StatusOr<OptimizerService::Result> OptimizerService::Optimize(
   return result;
 }
 
-StatusOr<OptimizerService::Result> OptimizerService::OptimizeLegacy(
-    const LogicalPlan& plan, const Cardinalities* cards,
-    const OptimizeOptions& caller_options, PlanFingerprint* fp_out,
-    DecisionScratch* scratch) {
-  const auto start = std::chrono::steady_clock::now();
-
-  // Re-optimize-on-failure: mask every open-breaker platform out of the
-  // enumeration on top of whatever the caller excluded. Half-open breakers
-  // stay routable — the next query through them is the recovery probe. The
-  // mask is part of the cache key (HashOptions covers it), so plans cached
-  // while a platform was dead never serve after it recovers, and vice
-  // versa.
-  const uint64_t open_mask = SyncBreakerState();
-  OptimizeOptions options = caller_options;
-  options.excluded_platform_mask |= open_mask;
-  // Serve-level quantized default: when the service was configured for
-  // quantized inference, every call requests it. The optimizer only honors
-  // the request if the pinned model was published quantized-validated (the
-  // gate in RetrainNow/Create), so an unvalidated table never serves.
-  options.quantized_inference |= options_.quantized_inference;
-  // Service observability: route this call's metrics and span tree into the
-  // service-owned sinks, unless the caller brought their own (theirs win —
-  // a call-level override must not be silently redirected). obs is not part
-  // of the cache key (HashOptions skips it), matching its bit-identical
-  // contract.
-  if (options_.observability && !options.obs.enabled()) {
-    options.obs.metrics = &metrics_;
-    options.obs.tracer = &tracer_;
-  }
-  auto bump = [&options](const char* name) {
-    if (!ROBOPT_OBS_ON(options.obs) || options.obs.metrics == nullptr) return;
-    if (Counter* counter = options.obs.metrics->GetCounter(name)) {
-      counter->Add(1);
-    }
-  };
-  bump("robopt_serve_optimize_calls_total");
-  if (open_mask & options.allowed_platform_mask &
-      ~caller_options.excluded_platform_mask) {
-    std::lock_guard<std::mutex> lock(recovery_mu_);
-    ++masked_optimizes_;
-  }
-  if (scratch != nullptr) {
-    scratch->open_mask = open_mask;
-    scratch->excluded_mask = options.excluded_platform_mask;
-  }
-  // With the cache disabled (capacity 0) the O(plan) fingerprint work would
-  // be pure per-call overhead — skip key computation and lookup entirely.
-  const bool cache_on = plan_cache_.enabled();
-  if (scratch != nullptr) scratch->cache_enabled = cache_on;
-  PlanCacheKey key;
-  std::vector<std::pair<uint64_t, OperatorId>> canonical;
-  std::vector<uint64_t> sorted_hashes;
-  if (cache_on) {
-    std::vector<uint64_t> node_hashes;
-    key.plan = FingerprintPlan(plan, &node_hashes);
-    if (fp_out != nullptr) *fp_out = key.plan;
-    key.cards_hash = cards == nullptr ? 0 : FingerprintCards(*cards);
-    key.options_hash = PlanCache::HashOptions(options);
-    Canonicalize(node_hashes, &canonical, &sorted_hashes);
-
-    PlanCache::Entry cached;
-    PlanCacheMissCause cause = PlanCacheMissCause::kNone;
-    if (plan_cache_.Lookup(key, models_.current_version(), sorted_hashes,
-                           &cached, &cause)) {
-      Result result;
-      if (TransferCached(cached, canonical, plan, registry_, start,
-                         &result)) {
-        bump("robopt_serve_plan_cache_hits_total");
-        return result;
-      }
-      if (scratch != nullptr) scratch->cache_untransferable = true;
-    }
-    if (scratch != nullptr) scratch->cache_cause = cause;
-  }
-
-  auto optimized = optimizer_.Optimize(plan, cards, options);
-  if (!optimized.ok()) return optimized.status();
-  Result result;
-  result.optimize = std::move(optimized.value());
-
-  if (cache_on) {
-    plan_cache_.Insert(key, MakeCacheEntry(result, canonical, /*slot=*/0));
-  }
-  return result;
-}
-
 StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
     const LogicalPlan& plan, const Cardinalities* cards,
     const OptimizeOptions& caller_options, const RequestContext& ctx,
-    PlanFingerprint* fp_out, DecisionScratch* scratch) {
-  const auto start = std::chrono::steady_clock::now();
+    std::chrono::steady_clock::time_point start, DecisionScratch* scratch) {
   // Fingerprint before admission: the canonical fingerprint is the routing
   // key (and double-duties as the cache key inside the shard).
   std::vector<uint64_t> node_hashes;
   PlanCacheKey key;
   key.plan = FingerprintPlan(plan, &node_hashes);
-  if (fp_out != nullptr) *fp_out = key.plan;
+  scratch->fp = key.plan;
   key.cards_hash = cards == nullptr ? 0 : FingerprintCards(*cards);
   uint32_t slot = 0;
   const uint32_t shard_index = router_->Route(ctx.tenant, key.plan, &slot);
   Shard& shard = *shards_[shard_index];
-  if (scratch != nullptr) scratch->shard = shard_index;
+  scratch->shard = shard_index;
 
   // SLO feedback into admission: one relaxed load of the engine's cached
   // health. Under critical burn the service prefers shedding early over
@@ -679,10 +578,8 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
       } else {
         shard.shed_deadline.fetch_add(1, std::memory_order_relaxed);
       }
-      if (scratch != nullptr) {
-        scratch->shed =
-            slo_only ? ShedReason::kSloDeadline : ShedReason::kDeadline;
-      }
+      scratch->shed =
+          slo_only ? ShedReason::kSloDeadline : ShedReason::kDeadline;
       // Decay the estimate on every rejection. The EWMA is otherwise
       // only updated by served requests, so a single preemption-inflated
       // sample above every caller's deadline would lock admission out
@@ -709,7 +606,7 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
                options_.slo.critical_queue_factor));
     if (shard.queue.depth() >= cap) {
       shard.shed_slo.fetch_add(1, std::memory_order_relaxed);
-      if (scratch != nullptr) scratch->shed = ShedReason::kSloQueue;
+      scratch->shed = ShedReason::kSloQueue;
       return Status::ResourceExhausted(
           "shard queue past the SLO-tightened bound");
     }
@@ -717,7 +614,7 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
   uint64_t ticket = 0;
   if (!shard.queue.TryEnter(&ticket)) {
     shard.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-    if (scratch != nullptr) scratch->shed = ShedReason::kQueueFull;
+    scratch->shed = ShedReason::kQueueFull;
     return Status::ResourceExhausted("shard admission queue is full");
   }
   shard.queue.WaitTurn(ticket);
@@ -753,32 +650,34 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   if (shard.pinned_version != models_.published_version()) {
     RepinShard(shard);
   }
-  // Breaker fan-out: one epoch compare; on change, reconcile new trips
-  // against this shard's cache slice (same delta logic as the legacy
-  // SyncBreakerState, but per shard).
+  // Breaker backstop: one epoch compare. OnExecutionFailure already
+  // reconciled every shard eagerly; this catches trips fed straight into
+  // health() (executors without this service as observer, chaos hooks).
   const uint64_t trip_epoch = health_.trip_epoch();
   if (trip_epoch != shard.seen_trip_epoch) {
-    uint64_t dropped = 0;
-    for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
-      const uint64_t trips = health_.snapshot(p).trips;
-      if (trips > shard.last_trips[p]) {
-        shard.last_trips[p] = trips;
-        dropped += shard.cache.InvalidatePlatform(p);
-      }
-    }
+    ReconcileTrips(shard);
     shard.seen_trip_epoch = trip_epoch;
-    if (dropped > 0) {
-      std::lock_guard<std::mutex> lock(recovery_mu_);
-      plans_invalidated_on_trip_ += dropped;
-    }
   }
 
-  // From here the flow mirrors the legacy path (same masking, same obs
-  // counters, same cache discipline) over per-shard state.
+  // Re-optimize-on-failure: mask every open-breaker platform out of the
+  // enumeration on top of whatever the caller excluded. Half-open breakers
+  // stay routable — the next query through them is the recovery probe. The
+  // mask is part of the cache key (HashOptions covers it), so plans cached
+  // while a platform was dead never serve after it recovers, and vice
+  // versa.
   const uint64_t open_mask = health_.OpenMask();
   OptimizeOptions options = caller_options;
   options.excluded_platform_mask |= open_mask;
+  // Serve-level quantized default: when the service was configured for
+  // quantized inference, every call requests it. The optimizer only honors
+  // the request if the pinned model was published quantized-validated (the
+  // gate in RetrainNow/Create), so an unvalidated table never serves.
   options.quantized_inference |= options_.quantized_inference;
+  // Service observability: route this call's metrics and span tree into the
+  // service-owned sinks, unless the caller brought their own (theirs win —
+  // a call-level override must not be silently redirected). obs is not part
+  // of the cache key (HashOptions skips it), matching its bit-identical
+  // contract.
   if (options_.observability && !options.obs.enabled()) {
     options.obs.metrics = &metrics_;
     options.obs.tracer = &tracer_;
@@ -795,13 +694,10 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
     std::lock_guard<std::mutex> lock(recovery_mu_);
     ++masked_optimizes_;
   }
-
-  if (scratch != nullptr) {
-    scratch->open_mask = open_mask;
-    scratch->excluded_mask = options.excluded_platform_mask;
-  }
+  scratch->open_mask = open_mask;
+  scratch->excluded_mask = options.excluded_platform_mask;
   const bool cache_on = shard.cache.enabled();
-  if (scratch != nullptr) scratch->cache_enabled = cache_on;
+  scratch->cache_enabled = cache_on;
   PlanCacheKey key = route_key;
   std::vector<std::pair<uint64_t, OperatorId>> canonical;
   std::vector<uint64_t> sorted_hashes;
@@ -818,9 +714,9 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
         bump("robopt_serve_plan_cache_hits_total");
         return result;
       }
-      if (scratch != nullptr) scratch->cache_untransferable = true;
+      scratch->cache_untransferable = true;
     }
-    if (scratch != nullptr) scratch->cache_cause = cause;
+    scratch->cache_cause = cause;
   }
 
   auto optimized = shard.optimizer.Optimize(plan, cards, options);
@@ -828,9 +724,33 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   Result result;
   result.optimize = std::move(optimized.value());
   if (cache_on) {
-    shard.cache.Insert(key, MakeCacheEntry(result, canonical, slot));
+    // A trip during this call may already have been reconciled eagerly;
+    // the plan was chosen against the older breaker view, so it is served
+    // but not cached. trip_mu orders this check against that reconcile.
+    std::lock_guard<std::mutex> lock(shard.trip_mu);
+    if (health_.trip_epoch() == trip_epoch) {
+      shard.cache.Insert(key, MakeCacheEntry(result, canonical, slot));
+    }
   }
   return result;
+}
+
+void OptimizerService::ReconcileTrips(Shard& shard) {
+  uint64_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.trip_mu);
+    for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
+      const uint64_t trips = health_.snapshot(p).trips;
+      if (trips > shard.last_trips[p]) {
+        shard.last_trips[p] = trips;
+        dropped += shard.cache.InvalidatePlatform(p);
+      }
+    }
+  }
+  if (dropped > 0) {
+    std::lock_guard<std::mutex> lock(recovery_mu_);
+    plans_invalidated_on_trip_ += dropped;
+  }
 }
 
 void OptimizerService::RepinShard(Shard& shard) {
@@ -905,7 +825,6 @@ size_t OptimizerService::RebalanceNow() {
 
 uint32_t OptimizerService::ShardFor(uint64_t tenant,
                                     const LogicalPlan& plan) const {
-  if (router_ == nullptr) return 0;
   return router_->ShardOf(
       router_->SlotOf(ShardRouter::RouteHash(tenant, FingerprintPlan(plan))));
 }
@@ -954,23 +873,11 @@ void OptimizerService::OnExecutionFailure(const ExecutionPlan& plan,
     std::lock_guard<std::mutex> lock(recovery_mu_);
     ++failures_observed_;
   }
-  // The failure may just have tripped a breaker: reconcile immediately so
-  // stale cached plans through the dead platform are gone before the very
-  // next Optimize() call (not merely keyed away by the exclusion mask).
-  SyncBreakerState();
-}
-
-uint64_t OptimizerService::SyncBreakerState() {
-  const uint64_t open_mask = health_.OpenMask();
-  std::lock_guard<std::mutex> lock(recovery_mu_);
-  for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
-    const uint64_t trips = health_.snapshot(p).trips;
-    if (trips > last_trips_[p]) {
-      last_trips_[p] = trips;
-      plans_invalidated_on_trip_ += plan_cache_.InvalidatePlatform(p);
-    }
-  }
-  return open_mask;
+  // The failure may just have tripped a breaker: reconcile every shard now,
+  // so stale cached plans through the dead platform are gone (and counted
+  // in Stats()) before this returns, not merely keyed away by the
+  // exclusion mask until each shard's next request.
+  for (const auto& shard : shards_) ReconcileTrips(*shard);
 }
 
 void OptimizerService::DrainFeedbackLocked() {
@@ -1063,10 +970,9 @@ StatusOr<RetrainOutcome> OptimizerService::RetrainNow(bool force) {
     outcome.version = models_.Publish(std::move(forest), outcome.candidate_mae,
                                       outcome.quantized_enabled);
     outcome.promoted = true;
-    // Legacy-path eager invalidation. Shard caches need none: every entry
-    // is version-tagged, each shard re-pins on its next request entry, and
-    // stale entries die lazily on lookup — promotion never stops the world.
-    plan_cache_.InvalidateAll();
+    // No cache invalidation: every entry is version-tagged, each shard
+    // re-pins on its next request entry, and stale entries die lazily on
+    // lookup — promotion never stops the world.
     std::lock_guard<std::mutex> counter_lock(counter_mu_);
     ++promotions_;
   } else {
@@ -1077,11 +983,9 @@ StatusOr<RetrainOutcome> OptimizerService::RetrainNow(bool force) {
 }
 
 uint64_t OptimizerService::PublishExternal(std::shared_ptr<RandomForest> forest) {
-  const uint64_t version = models_.Publish(
-      std::move(forest), std::numeric_limits<double>::quiet_NaN());
-  // Shard caches invalidate lazily via version tags (see RetrainNow).
-  plan_cache_.InvalidateAll();
-  return version;
+  // Cached plans invalidate lazily via version tags (see RetrainNow).
+  return models_.Publish(std::move(forest),
+                         std::numeric_limits<double>::quiet_NaN());
 }
 
 ServeStats OptimizerService::Stats() const {
@@ -1100,38 +1004,33 @@ ServeStats OptimizerService::Stats() const {
     stats.holdout_rows = holdout_.size();
   }
   stats.feedback = collector_.stats();
-  stats.plan_cache = plan_cache_.stats();
-  stats.num_shards = num_shards_resolved_;
-  if (!shards_.empty()) {
-    const RouterStats router = router_->stats();
-    stats.router_rebalances = router.rebalances;
-    stats.router_slots_moved = router.slots_moved;
-    stats.shards.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const Shard& shard = *shards_[i];
-      ShardStats per_shard;
-      per_shard.processed =
-          shard.processed.load(std::memory_order_relaxed);
-      per_shard.shed_queue_full =
-          shard.shed_queue_full.load(std::memory_order_relaxed);
-      per_shard.shed_deadline =
-          shard.shed_deadline.load(std::memory_order_relaxed);
-      per_shard.shed_slo = shard.shed_slo.load(std::memory_order_relaxed);
-      per_shard.queue_depth = shard.queue.depth();
-      per_shard.routed = i < router.routed.size() ? router.routed[i] : 0;
-      per_shard.ewma_service_s =
-          shard.ewma_service_s.load(std::memory_order_relaxed);
-      per_shard.plan_cache = shard.cache.stats();
-      stats.shard_processed += per_shard.processed;
-      stats.shard_shed_queue_full += per_shard.shed_queue_full;
-      stats.shard_shed_deadline += per_shard.shed_deadline;
-      stats.shard_shed_slo += per_shard.shed_slo;
-      stats.shard_queue_depth += per_shard.queue_depth;
-      // The service-wide cache view is the sum of the slices (the legacy
-      // plan_cache_ member stays empty in sharded mode).
-      stats.plan_cache.Accumulate(per_shard.plan_cache);
-      stats.shards.push_back(std::move(per_shard));
-    }
+  stats.num_shards = num_shards();
+  const RouterStats router = router_->stats();
+  stats.router_rebalances = router.rebalances;
+  stats.router_slots_moved = router.slots_moved;
+  stats.shards.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& shard = *shards_[i];
+    ShardStats per_shard;
+    per_shard.processed = shard.processed.load(std::memory_order_relaxed);
+    per_shard.shed_queue_full =
+        shard.shed_queue_full.load(std::memory_order_relaxed);
+    per_shard.shed_deadline =
+        shard.shed_deadline.load(std::memory_order_relaxed);
+    per_shard.shed_slo = shard.shed_slo.load(std::memory_order_relaxed);
+    per_shard.queue_depth = shard.queue.depth();
+    per_shard.routed = i < router.routed.size() ? router.routed[i] : 0;
+    per_shard.ewma_service_s =
+        shard.ewma_service_s.load(std::memory_order_relaxed);
+    per_shard.plan_cache = shard.cache.stats();
+    stats.shard_processed += per_shard.processed;
+    stats.shard_shed_queue_full += per_shard.shed_queue_full;
+    stats.shard_shed_deadline += per_shard.shed_deadline;
+    stats.shard_shed_slo += per_shard.shed_slo;
+    stats.shard_queue_depth += per_shard.queue_depth;
+    // The service-wide cache view is the sum of the slices.
+    stats.plan_cache.Accumulate(per_shard.plan_cache);
+    stats.shards.push_back(std::move(per_shard));
   }
   if (const auto snapshot = models_.Current(); snapshot != nullptr) {
     stats.current_drift = snapshot->drift();
@@ -1247,7 +1146,7 @@ void OptimizerService::WorkerLoop() {
     EvaluateSloNow();
     // Each poll closes one router load window; sustained imbalance across
     // rebalance_min_checks windows migrates cache entries between shards.
-    if (shards_.size() > 1) (void)RebalanceNow();
+    (void)RebalanceNow();
     lock.lock();
   }
 }

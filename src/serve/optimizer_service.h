@@ -1,7 +1,6 @@
 #ifndef ROBOPT_SERVE_OPTIMIZER_SERVICE_H_
 #define ROBOPT_SERVE_OPTIMIZER_SERVICE_H_
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -40,9 +39,8 @@ struct ServedRequest {
   /// PlanCache::HashOptions of the options the caller passed (pre
   /// breaker-masking) — what a faithful re-drive would hash too.
   uint64_t options_hash = 0;
-  /// Canonical plan fingerprint when the serving path already computed one
-  /// (sharded routing always does; the legacy path only with the plan cache
-  /// on). Zero otherwise — observers that need it recompute only then.
+  /// Canonical plan fingerprint (the routing and cache key). Always set:
+  /// every call is routed, so observers never re-fingerprint.
   uint64_t fp_lo = 0;
   uint64_t fp_hi = 0;
   StatusCode status = StatusCode::kOk;
@@ -198,12 +196,14 @@ struct ServeOptions {
 
   /// Number of independent serving shards, mirroring the num_threads
   /// convention: 0 (the default) resolves to one shard per hardware core,
-  /// 1 is the single-instance legacy path (bit-identical to the
-  /// pre-sharding service), n is exactly n shards. Each shard owns its own
-  /// PlanCache slice, pinned-model handle, oracle memo budget and bounded
-  /// admission queue; a lock-free router hashes (tenant, canonical plan
-  /// fingerprint) to a shard so repeat queries land on their warm cache.
-  /// Served plans are bit-identical across every shard count.
+  /// n is exactly n shards. There is one serving path for every n: each
+  /// shard owns its own PlanCache slice, pinned-model handle, oracle memo
+  /// budget and bounded admission queue, and a lock-free router hashes
+  /// (tenant, canonical plan fingerprint) to a shard so repeat queries land
+  /// on their warm cache. n = 1 is that path with one shard: one serving
+  /// executor, so concurrent callers queue and may be shed past
+  /// shard_queue_capacity. Served plans are bit-identical across every
+  /// shard count.
   int num_shards = 0;
   /// Bound of each shard's admission queue: at most this many requests may
   /// be outstanding (waiting + executing) per shard. Beyond it, Optimize()
@@ -242,10 +242,9 @@ struct ServeOptions {
   OptimizeOptions optimize;
 };
 
-/// Per-request serving context (sharded mode). The tenant joins the plan
-/// fingerprint in the routing hash, so one tenant's repeat queries stay on
-/// one warm shard without interleaving with another tenant's identical
-/// plans.
+/// Per-request serving context. The tenant joins the plan fingerprint in
+/// the routing hash, so one tenant's repeat queries stay on one warm shard
+/// without interleaving with another tenant's identical plans.
 struct RequestContext {
   uint64_t tenant = 0;
   /// Deadline budget in seconds for admission control: 0 defers to
@@ -297,7 +296,7 @@ struct RecoveryStats {
   void ExportTo(MetricsRegistry* registry) const;
 };
 
-/// Counters of one serving shard (sharded mode only).
+/// Counters of one serving shard.
 struct ShardStats {
   uint64_t processed = 0;        ///< Requests served through the shard.
   uint64_t shed_queue_full = 0;  ///< Rejected: admission queue at capacity.
@@ -320,12 +319,11 @@ struct ServeStats {
   size_t rejections = 0;  ///< Candidates that failed validation.
   size_t experience_rows = 0;
   size_t holdout_rows = 0;
-  /// Resolved shard count (1 = legacy single-instance path).
+  /// Resolved shard count (ServeOptions::num_shards, 0 resolved).
   int num_shards = 1;
-  /// Per-shard counters; empty on the legacy path.
+  /// Per-shard counters, one entry per shard (also at num_shards 1).
   std::vector<ShardStats> shards;
-  /// Totals across shards (all zero on the legacy path, which has no
-  /// admission queue and never sheds).
+  /// Totals across shards.
   uint64_t shard_processed = 0;
   uint64_t shard_shed_queue_full = 0;
   uint64_t shard_shed_deadline = 0;
@@ -334,8 +332,8 @@ struct ServeStats {
   uint64_t router_rebalances = 0;   ///< Migration decisions applied.
   uint64_t router_slots_moved = 0;  ///< Slot reassignments applied.
   FeedbackStats feedback;
-  /// Aggregated over every shard's cache slice in sharded mode (the
-  /// migrated_in/out fields carry the cache-entry migration counters).
+  /// Sum of every shard's cache slice (the migrated_in/out fields carry
+  /// the cache-entry migration counters).
   PlanCacheStats plan_cache;
   DriftStats current_drift;  ///< Drift of the current version.
   RecoveryStats recovery;
@@ -359,15 +357,16 @@ struct ServeStats {
 ///     ExperienceLog::Retrain, validates the candidate on a holdout split,
 ///     promotes only if MAE does not regress beyond the tolerance, and
 ///     records per-version drift (predicted-vs-actual error EWMA);
-///   - a PlanCache keyed by the canonical logical-plan fingerprint serves
-///     repeat queries in O(plan size), invalidated on every promotion;
-///   - in sharded mode (resolved num_shards > 1) the service runs
-///     thread-per-core style: a lock-free ShardRouter hashes (tenant,
-///     fingerprint) to one of N shards, each owning its own PlanCache
-///     slice, pinned-model handle, oracle memo and bounded admission queue
-///     with deadline-based shedding. Model promotions, breaker trips and
-///     cache invalidations fan out to shards through per-shard
-///     epoch/version checks on request entry — no stop-the-world. See
+///   - the service runs thread-per-core style over N shards (N = resolved
+///     num_shards; a single shard is the same path with N = 1): a
+///     lock-free ShardRouter hashes (tenant, canonical plan fingerprint) to
+///     one shard, which owns a PlanCache slice serving repeat queries in
+///     O(plan size), a pinned-model handle, an oracle memo and a bounded
+///     admission queue with deadline-based shedding. Model promotions fan
+///     out through per-shard version checks on request entry (stale cache
+///     entries die by their version tag) — no stop-the-world. Breaker trips
+///     reach every shard's cache eagerly from OnExecutionFailure, with a
+///     per-shard trip-epoch check on request entry as the backstop. See
 ///     DESIGN.md, "Sharded serving & load shedding".
 ///
 /// Thread-safe throughout: any number of threads may call Optimize() and
@@ -397,10 +396,10 @@ class OptimizerService : public ExecutionObserver {
 
   /// Optimizes `plan` on the current model version. Safe to call from any
   /// number of threads, including while a promotion is in flight — the
-  /// whole call sees one consistent model. In sharded mode a call may be
-  /// shed with kResourceExhausted (full shard queue, or estimated queue
-  /// delay past the request deadline); plans that are served are
-  /// bit-identical to the single-shard path.
+  /// whole call sees one consistent model. A call may be shed with
+  /// kResourceExhausted (full shard queue, or estimated queue delay past
+  /// the request deadline); plans that are served are bit-identical across
+  /// shard counts.
   StatusOr<Result> Optimize(const LogicalPlan& plan,
                             const Cardinalities* cards = nullptr);
   StatusOr<Result> Optimize(const LogicalPlan& plan,
@@ -421,8 +420,10 @@ class OptimizerService : public ExecutionObserver {
 
   /// ExecutionObserver: counts the failure in the feedback stats and, when
   /// the failure tripped a circuit breaker, drops every cached plan that
-  /// routes through the now-dead platform — the next Optimize() of those
-  /// queries re-plans with the platform masked out of enumeration.
+  /// routes through the now-dead platform from every shard before
+  /// returning — Stats() counts the invalidation at once, and the next
+  /// Optimize() of those queries re-plans with the platform masked out of
+  /// enumeration.
   void OnExecutionFailure(const ExecutionPlan& plan,
                           const FailureReport& report) override;
 
@@ -431,8 +432,8 @@ class OptimizerService : public ExecutionObserver {
   StatusOr<RetrainOutcome> RetrainNow(bool force = false);
 
   /// Publishes an externally trained model out-of-band (ops push). Skips
-  /// holdout validation — the snapshot records NaN MAE — and invalidates
-  /// the plan cache. Returns the new version.
+  /// holdout validation — the snapshot records NaN MAE. Cached plans of
+  /// older versions stop serving (version-tagged). Returns the new version.
   uint64_t PublishExternal(std::shared_ptr<RandomForest> forest);
 
   /// One imbalance check + (when warranted) one slot migration: closes the
@@ -441,16 +442,16 @@ class OptimizerService : public ExecutionObserver {
   /// phases (count, then payload exchange). Called periodically by the
   /// background worker; public so tests and benches without a worker can
   /// drive it. Returns the number of cache entries migrated (0 when
-  /// balanced or in legacy mode). Safe to call concurrently with serving.
+  /// balanced or with one shard). Safe to call concurrently with serving.
   size_t RebalanceNow();
 
-  /// The shard (tenant, plan) routes to right now (0 in legacy mode).
+  /// The shard (tenant, plan) routes to right now.
   /// Fingerprints the plan; touches no load counters. Benches use this to
   /// build shard-affine workloads.
   uint32_t ShardFor(uint64_t tenant, const LogicalPlan& plan) const;
 
-  /// Resolved shard count (1 = legacy single-instance path).
-  int num_shards() const { return num_shards_resolved_; }
+  /// Resolved shard count (ServeOptions::num_shards, 0 resolved).
+  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   const ModelRegistry& registry() const { return models_; }
   const FeatureSchema& schema() const { return *schema_; }
@@ -514,10 +515,10 @@ class OptimizerService : public ExecutionObserver {
  private:
   struct Shard;
 
-  /// Decision breadcrumbs the inner serving paths deposit for the choke
-  /// point's record assembly (pointer-threaded; null when diagnostics and
-  /// SLO are both off).
+  /// Decision breadcrumbs the serving path deposits for the choke point's
+  /// observer, SLO and decision-record assembly.
   struct DecisionScratch {
+    PlanFingerprint fp;
     uint32_t shard = 0;
     ShedReason shed = ShedReason::kNone;
     bool cache_enabled = false;
@@ -530,22 +531,14 @@ class OptimizerService : public ExecutionObserver {
   OptimizerService(const PlatformRegistry* registry,
                    const FeatureSchema* schema, ServeOptions options);
 
-  /// The pre-sharding Optimize body, byte-for-byte (resolved num_shards 1).
-  /// `fp_out`, when non-null, receives the plan fingerprint if this call
-  /// computed one anyway (cache key / routing key) — lets the observer
-  /// dispatch hand it to RequestObservers without a second O(plan) pass.
-  StatusOr<Result> OptimizeLegacy(const LogicalPlan& plan,
-                                  const Cardinalities* cards,
-                                  const OptimizeOptions& caller_options,
-                                  PlanFingerprint* fp_out = nullptr,
-                                  DecisionScratch* scratch = nullptr);
-  /// Sharded path: route, admit/shed, then run serialized on the shard.
+  /// The serving path: fingerprint, route, admit/shed, then run
+  /// serialized on the shard. `start` is the call's arrival time.
   StatusOr<Result> OptimizeSharded(const LogicalPlan& plan,
                                    const Cardinalities* cards,
                                    const OptimizeOptions& caller_options,
                                    const RequestContext& ctx,
-                                   PlanFingerprint* fp_out = nullptr,
-                                   DecisionScratch* scratch = nullptr);
+                                   std::chrono::steady_clock::time_point start,
+                                   DecisionScratch* scratch);
   /// The in-window shard body (caller holds the shard's ticket turn):
   /// epoch checks, cache lookup, optimize, insert.
   StatusOr<Result> RunOnShard(Shard& shard, uint32_t slot,
@@ -555,7 +548,7 @@ class OptimizerService : public ExecutionObserver {
                               const PlanCacheKey& route_key,
                               const std::vector<uint64_t>& node_hashes,
                               std::chrono::steady_clock::time_point start,
-                              DecisionScratch* scratch = nullptr);
+                              DecisionScratch* scratch);
   /// Seconds on the SLO clock (ServeSloOptions::clock, or the service's
   /// steady clock since construction).
   double SloNow() const;
@@ -566,11 +559,12 @@ class OptimizerService : public ExecutionObserver {
   /// Moves queued feedback into drift stats, the holdout set and the
   /// experience log. Caller holds retrain_mu_.
   void DrainFeedbackLocked();
-  /// Reconciles breaker trips with the plan cache: any platform whose trip
-  /// count grew since the last sync has its cached plans invalidated.
-  /// Called from OnExecutionFailure and Optimize (cheap when nothing
-  /// changed). Returns the current open-breaker mask.
-  uint64_t SyncBreakerState();
+  /// Reconciles breaker trips with one shard's cache slice: any platform
+  /// whose trip count grew since the shard last reconciled has its cached
+  /// plans invalidated. Called for every shard from OnExecutionFailure
+  /// (eager) and for its own shard on request entry when the trip epoch
+  /// moved (lazy backstop for trips fed straight into health()).
+  void ReconcileTrips(Shard& shard);
   /// Consistent copy of the holdout set.
   MlDataset HoldoutSnapshot() const;
   void WorkerLoop();
@@ -580,13 +574,10 @@ class OptimizerService : public ExecutionObserver {
   const ServeOptions options_;
 
   ModelRegistry models_;
-  RoboptOptimizer optimizer_;  ///< Pins models_ per call (OracleProvider).
   FeedbackCollector collector_;
   ExperienceLog experience_;
-  PlanCache plan_cache_;  ///< Legacy-path cache (unused in sharded mode).
 
-  /// Sharded serving state. Empty router/shards on the legacy path.
-  int num_shards_resolved_ = 1;
+  /// Serving state: one router and the resolved number of shards (>= 1).
   std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::mutex rebalance_mu_;  ///< Serializes RebalanceNow (single consumer).
@@ -625,9 +616,6 @@ class OptimizerService : public ExecutionObserver {
   uint64_t failures_observed_ = 0;
   uint64_t masked_optimizes_ = 0;
   uint64_t plans_invalidated_on_trip_ = 0;
-  /// Last-seen per-platform trip counts; a delta means new trips to
-  /// reconcile against the plan cache.
-  std::array<uint64_t, kMaxPlatforms> last_trips_{};
 
   std::mutex worker_mu_;
   std::condition_variable worker_cv_;

@@ -194,13 +194,6 @@ size_t PlanCache::InsertMigrated(
   return inserted;
 }
 
-void PlanCache::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.invalidations.fetch_add(map_.size(), kRelaxed);
-  map_.clear();
-  lru_.clear();
-}
-
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();

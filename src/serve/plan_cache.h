@@ -83,8 +83,7 @@ struct PlanCacheStats {
 /// counts as a miss, never as a wrong plan.
 ///
 /// Every entry is tagged with the model version that produced it. A lookup
-/// under a newer version discards the entry (lazy invalidation), and the
-/// serving layer calls InvalidateAll() on every model promotion — a new
+/// under a newer version discards the entry (lazy invalidation): a new
 /// model means new costs, so yesterday's best plan is no longer evidence.
 class PlanCache {
  public:
@@ -100,17 +99,17 @@ class PlanCache {
     /// ExecutionPlan::PlatformsUsed(). Lets InvalidatePlatform drop exactly
     /// the entries a dead platform poisons.
     uint64_t platform_mask = 0;
-    /// Router slot that owns this entry's key (sharded serving only; 0
-    /// otherwise). Migration extracts whole slots, so the rebalancer can
-    /// hand a re-routed slot's entries to their new shard.
+    /// Router slot that owns this entry's key. Migration extracts whole
+    /// slots, so the rebalancer can hand a re-routed slot's entries to
+    /// their new shard.
     uint32_t slot = 0;
   };
 
   /// `capacity` bounds the number of entries (LRU eviction).
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
-  /// False when constructed with capacity 0: callers skip fingerprinting
-  /// entirely (Lookup/Insert would only ever miss).
+  /// False when constructed with capacity 0: callers skip the key's
+  /// options hash and canonicalization (Lookup/Insert would only miss).
   bool enabled() const { return capacity_ > 0; }
 
   /// The search-relevant slice of OptimizeOptions, hashed.
@@ -129,9 +128,6 @@ class PlanCache {
   /// Inserts (or replaces) the entry for `key`, evicting the LRU tail when
   /// over capacity.
   void Insert(const PlanCacheKey& key, Entry entry);
-
-  /// Drops every entry (called on model promotion).
-  void InvalidateAll();
 
   /// Drops every entry whose plan routes through `platform` (called when the
   /// platform's circuit breaker trips — those plans can no longer run).

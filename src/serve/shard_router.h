@@ -45,8 +45,8 @@ class ShardRouter {
   explicit ShardRouter(int num_shards, size_t num_slots = 256);
 
   /// The deterministic shard-count convention, mirroring
-  /// OptimizeOptions::num_threads: 0 = one shard per hardware core, 1 = the
-  /// exact single-instance legacy service, n = n shards.
+  /// OptimizeOptions::num_threads: 0 = one shard per hardware core, n = n
+  /// shards (n = 1 is the same serving path with a single shard).
   static int ResolveShardCount(int num_shards);
 
   /// Multiply-mix of (tenant, fingerprint) — the routing key. Stable across

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -52,13 +53,19 @@ TEST(TicketQueueTest, SerializesConcurrentHoldersFifo) {
   uint64_t last_served = 0;  // Plain: only the window holder touches it.
   bool first = true;
   uint64_t counter = 0;
+  // At most kThreads tickets are ever outstanding, far below capacity: any
+  // rejection is spurious.
+  std::atomic<uint64_t> rejected{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         uint64_t ticket = 0;
-        while (!queue.TryEnter(&ticket)) std::this_thread::yield();
+        while (!queue.TryEnter(&ticket)) {
+          rejected.fetch_add(1);
+          std::this_thread::yield();
+        }
         queue.WaitTurn(ticket);
         if (!first) {
           EXPECT_EQ(ticket, last_served + 1) << "FIFO violated";
@@ -72,6 +79,7 @@ TEST(TicketQueueTest, SerializesConcurrentHoldersFifo) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(rejected.load(), 0u);
   EXPECT_EQ(queue.depth(), 0u);
 }
 

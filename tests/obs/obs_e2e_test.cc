@@ -490,8 +490,8 @@ TEST_F(ObsServeTest, SnapshotMirrorsEveryExportedStatsStruct) {
                .c_str(),
            static_cast<double>(stats.feedback.stripe_dropped[i]));
   }
-  // Sharded-serving aggregates (exported in legacy mode too, mostly zero,
-  // so the metric table is stable across shard counts).
+  // Sharded-serving aggregates (exported at every shard count, so the
+  // metric table is stable across them).
   expect("robopt_shard_count", static_cast<double>(stats.num_shards));
   expect("robopt_shard_processed_total",
          static_cast<double>(stats.shard_processed));
@@ -638,7 +638,7 @@ TEST_F(ObsServeTest, PrometheusEndpointCoversTheWholeMetricTable) {
       "robopt_plan_cache_platform_invalidations",
       "robopt_plan_cache_migrated_in",
       "robopt_plan_cache_migrated_out",
-      // Sharded serving (aggregates exist in legacy mode too).
+      // Sharded serving (aggregates exist at every shard count).
       "robopt_shard_count",
       "robopt_shard_processed_total",
       "robopt_shard_shed_queue_full_total",

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace robopt {
 namespace {
 
@@ -192,6 +196,35 @@ TEST(LogicalPlanTest, LoopIterationsMultiplier) {
   LogicalPlan plan = LoopPlan(25);
   EXPECT_EQ(plan.LoopIterations(4), 25);
   EXPECT_EQ(plan.LoopIterations(0), 1);
+}
+
+TEST(LogicalPlanTest, ConcurrentConstQueriesAgreeOnLoopMembership) {
+  // Serving threads optimize one shared plan at once: the first const
+  // queries race to fill the lazy loop cache (run under TSan).
+  const LogicalPlan plan = LoopPlan(25);
+  constexpr int kThreads = 4;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const std::vector<Topology> topologies = plan.OperatorTopologies();
+      if (topologies[4] != Topology::kLoop || plan.LoopIterations(4) != 25 ||
+          plan.InLoop(0)) {
+        wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  // A copy carries the filled cache, and a copy of an unfilled plan fills
+  // its own.
+  const LogicalPlan filled_copy = plan;
+  EXPECT_EQ(filled_copy.LoopIterations(4), 25);
+  const LogicalPlan fresh_copy = LoopPlan(7);
+  const LogicalPlan second = fresh_copy;
+  EXPECT_EQ(second.LoopIterations(4), 7);
+  EXPECT_EQ(fresh_copy.LoopIterations(4), 7);
 }
 
 TEST(LogicalPlanTest, LoopBodyContainsExactlyBodyOps) {

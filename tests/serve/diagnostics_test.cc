@@ -117,8 +117,8 @@ TEST_F(DiagnosticsTest, DiagnosticsAndSloAreBitIdenticalToPlainServing) {
 TEST_F(DiagnosticsTest, RecordsTellTheCacheAndRunnerUpStory) {
   ServeOptions options;
   options.diagnostics.enabled = true;
-  // Sharded, so the stale-version part below exercises the shards' *lazy*
-  // invalidation (the legacy path drops entries eagerly on promotion).
+  // The stale-version part below exercises the shards' *lazy*
+  // invalidation (a promotion never drops cache entries eagerly).
   options.num_shards = 2;
   auto service = MakeService(options);
 

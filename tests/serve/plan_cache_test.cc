@@ -82,17 +82,6 @@ TEST(PlanCacheTest, NodeHashMismatchIsAMissAndDropsTheEntry) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
-TEST(PlanCacheTest, InvalidateAllEmptiesTheCache) {
-  PlanCache cache(4);
-  cache.Insert(Key(1), Entry(1));
-  cache.Insert(Key(2), Entry(1));
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.size(), 0u);
-  PlanCache::Entry out;
-  EXPECT_FALSE(cache.Lookup(Key(1), 1, kHashes, &out));
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-}
-
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   PlanCache cache(2);
   cache.Insert(Key(1), Entry(1));

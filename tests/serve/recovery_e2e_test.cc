@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "serve/optimizer_service.h"
 #include "tdgen/tdgen.h"
@@ -92,70 +93,81 @@ MlDataset* RecoveryE2eTest::base_ = nullptr;
 TEST_F(RecoveryE2eTest, PermanentOutageTripsBreakerAndReoptimizesAroundIt) {
   constexpr int kThreshold = 3;
   constexpr PlatformId kSpark = 1;  // Platform 0 hosts the driver-pinned ops.
-  auto service = OptimizerService::Create(
-      registry_, schema_, *base_, nullptr,
-      RecoveryServeOptions(kThreshold, /*cooldown_s=*/1e9));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  // Explicit shard counts: the trip must reach every shard's cache before
+  // OnExecutionFailure returns, whatever the host's core count.
+  for (const int num_shards : {1, 2, 8}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ServeOptions options = RecoveryServeOptions(kThreshold, /*cooldown_s=*/1e9);
+    options.num_shards = num_shards;
+    auto service =
+        OptimizerService::Create(registry_, schema_, *base_, nullptr, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_EQ((*service)->num_shards(), num_shards);
 
-  // Warm the cache with a plan that routes through Spark.
-  LogicalPlan plan = MakeWordCountPlan(0.001);
-  OptimizeOptions spark_only;
-  spark_only.allowed_platform_mask = 1ull << kSpark;
-  auto spark_plan = (*service)->Optimize(plan, nullptr, spark_only);
-  ASSERT_TRUE(spark_plan.ok()) << spark_plan.status().ToString();
-  bool uses_spark = false;
-  for (PlatformId p : spark_plan->optimize.plan.PlatformsUsed()) {
-    uses_spark |= p == kSpark;
+    // Warm the cache with a plan that routes through Spark.
+    LogicalPlan plan = MakeWordCountPlan(0.001);
+    OptimizeOptions spark_only;
+    spark_only.allowed_platform_mask = 1ull << kSpark;
+    auto spark_plan = (*service)->Optimize(plan, nullptr, spark_only);
+    ASSERT_TRUE(spark_plan.ok()) << spark_plan.status().ToString();
+    bool uses_spark = false;
+    for (PlatformId p : spark_plan->optimize.plan.PlatformsUsed()) {
+      uses_spark |= p == kSpark;
+    }
+    ASSERT_TRUE(uses_spark);
+    ASSERT_GE((*service)->Stats().plan_cache.insertions, 1u);
+
+    // Spark goes permanently dark: every execution against it dies until
+    // the breaker trips at the consecutive-failure threshold.
+    for (int i = 0; i < kThreshold; ++i) {
+      // Below the threshold the breaker is still closed.
+      EXPECT_EQ((*service)->health()->state(kSpark), BreakerState::kClosed);
+      const Status status = ExecuteOn(service->get(), plan, kSpark,
+                                      /*inject_permanent_fault=*/true);
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+    }
+    EXPECT_EQ((*service)->health()->state(kSpark), BreakerState::kOpen);
+
+    {
+      // Read with no Optimize() since the trip: the eager fan-out alone
+      // must have reconciled it.
+      const ServeStats stats = (*service)->Stats();
+      EXPECT_EQ(stats.recovery.failures_observed,
+                static_cast<uint64_t>(kThreshold));
+      EXPECT_EQ(stats.feedback.failures, static_cast<uint64_t>(kThreshold));
+      EXPECT_EQ(stats.recovery.breaker_trips, 1u);
+      EXPECT_EQ(stats.recovery.open_platform_mask, 1ull << kSpark);
+      // The trip dropped the cached plan that routed through Spark.
+      EXPECT_EQ(stats.recovery.plans_invalidated_on_trip, 1u);
+      EXPECT_EQ(stats.plan_cache.platform_invalidations, 1u);
+    }
+
+    // Re-optimization masks the dead platform out of enumeration: the same
+    // query now gets a plan that avoids Spark entirely (a fresh optimize,
+    // not a cache hit — the exclusion mask is part of the cache key).
+    auto fallback = (*service)->Optimize(plan);
+    ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+    EXPECT_FALSE(fallback->cache_hit);
+    for (PlatformId p : fallback->optimize.plan.PlatformsUsed()) {
+      EXPECT_NE(p, kSpark);
+    }
+    {
+      const ServeStats stats = (*service)->Stats();
+      EXPECT_GE(stats.recovery.masked_optimizes, 1u);
+      // The lazy backstop on that shard found nothing left to drop.
+      EXPECT_EQ(stats.recovery.plans_invalidated_on_trip, 1u);
+    }
+
+    // A query restricted to the dead platform alone has nowhere to run.
+    EXPECT_FALSE((*service)->Optimize(plan, nullptr, spark_only).ok());
+
+    // Breaker-open fast-fail: an execution pinned to Spark is rejected up
+    // front without touching its kernels.
+    const Status rejected = ExecuteOn(service->get(), plan, kSpark,
+                                      /*inject_permanent_fault=*/false);
+    EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
+    EXPECT_GE((*service)->health()->snapshot(kSpark).rejected, 1u);
   }
-  ASSERT_TRUE(uses_spark);
-  ASSERT_GE((*service)->Stats().plan_cache.insertions, 1u);
-
-  // Spark goes permanently dark: every execution against it dies until the
-  // breaker trips at the consecutive-failure threshold.
-  for (int i = 0; i < kThreshold; ++i) {
-    // Below the threshold the breaker is still closed.
-    EXPECT_EQ((*service)->health()->state(kSpark), BreakerState::kClosed);
-    const Status status =
-        ExecuteOn(service->get(), plan, kSpark, /*inject_permanent_fault=*/true);
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  }
-  EXPECT_EQ((*service)->health()->state(kSpark), BreakerState::kOpen);
-
-  {
-    const ServeStats stats = (*service)->Stats();
-    EXPECT_EQ(stats.recovery.failures_observed,
-              static_cast<uint64_t>(kThreshold));
-    EXPECT_EQ(stats.feedback.failures, static_cast<uint64_t>(kThreshold));
-    EXPECT_EQ(stats.recovery.breaker_trips, 1u);
-    EXPECT_EQ(stats.recovery.open_platform_mask, 1ull << kSpark);
-    // The trip dropped the cached plan that routed through Spark.
-    EXPECT_GE(stats.recovery.plans_invalidated_on_trip, 1u);
-    EXPECT_GE(stats.plan_cache.platform_invalidations, 1u);
-  }
-
-  // Re-optimization masks the dead platform out of enumeration: the same
-  // query now gets a plan that avoids Spark entirely (a fresh optimize, not
-  // a cache hit — the exclusion mask is part of the cache key).
-  auto fallback = (*service)->Optimize(plan);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE(fallback->cache_hit);
-  for (PlatformId p : fallback->optimize.plan.PlatformsUsed()) {
-    EXPECT_NE(p, kSpark);
-  }
-  {
-    const ServeStats stats = (*service)->Stats();
-    EXPECT_GE(stats.recovery.masked_optimizes, 1u);
-  }
-
-  // A query restricted to the dead platform alone has nowhere to run.
-  EXPECT_FALSE((*service)->Optimize(plan, nullptr, spark_only).ok());
-
-  // Breaker-open fast-fail: an execution pinned to Spark is rejected up
-  // front without touching its kernels.
-  const Status rejected =
-      ExecuteOn(service->get(), plan, kSpark, /*inject_permanent_fault=*/false);
-  EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  EXPECT_GE((*service)->health()->snapshot(kSpark).rejected, 1u);
 }
 
 TEST_F(RecoveryE2eTest, HalfOpenProbeRecoversThePlatform) {

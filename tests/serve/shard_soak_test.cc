@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,8 +19,8 @@ namespace {
 /// Soak coverage of the sharded serving path (run under TSan in CI):
 /// concurrent Optimize() across shards while model promotions, breaker
 /// trips/recoveries and plan-cache invalidations fire — plans must stay
-/// bit-identical to the single-shard service and no invalidation may be
-/// lost on any shard. Worker threads record mismatches into atomics and the
+/// bit-identical to a direct optimize on the same forest at every shard
+/// count, and no invalidation may be lost on any shard. Worker threads record mismatches into atomics and the
 /// main thread asserts after joining (gtest failure recording is not
 /// thread-safe).
 class ShardSoakTest : public ::testing::Test {
@@ -79,115 +81,118 @@ TEST_F(ShardSoakTest, PlansStayBitIdenticalToSingleShardUnderChaos) {
   OptimizeOptions java_only;
   java_only.allowed_platform_mask = 1ull << 0;
 
-  // Ground truth: the legacy single-instance path, no chaos.
-  auto reference = OptimizerService::Create(registry_, schema_, *base_,
-                                            *forest_, ShardedServeOptions(1));
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_EQ((*reference)->num_shards(), 1);
+  // Ground truth: a direct optimize over the shared forest, no service.
+  const MlCostOracle oracle(forest_->get());
+  const RoboptOptimizer direct(registry_, schema_, &oracle);
   struct RefPlan {
-    float predicted = 0.0f;
+    uint32_t predicted_bits = 0;
     std::vector<std::pair<OperatorId, int>> alts;
   };
   std::vector<RefPlan> refs;
   for (double size : sizes) {
     LogicalPlan plan = MakeWordCountPlan(size);
-    auto result = (*reference)->Optimize(plan, nullptr, java_only);
+    auto result = direct.Optimize(plan, nullptr, java_only);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     RefPlan ref;
-    ref.predicted = result->optimize.predicted_runtime_s;
+    ref.predicted_bits = std::bit_cast<uint32_t>(result->predicted_runtime_s);
     for (const LogicalOperator& op : plan.operators()) {
-      ref.alts.emplace_back(op.id, result->optimize.plan.alt_index(op.id));
+      ref.alts.emplace_back(op.id, result->plan.alt_index(op.id));
     }
     refs.push_back(std::move(ref));
   }
 
-  ServeOptions sharded_options = ShardedServeOptions(4);
-  sharded_options.breaker.failure_threshold = 3;
-  sharded_options.breaker.cooldown_s = 1.0;
-  auto sharded = OptimizerService::Create(registry_, schema_, *base_,
-                                          *forest_, sharded_options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ((*sharded)->num_shards(), 4);
-  OptimizerService* service = sharded->get();
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ServeOptions options = ShardedServeOptions(num_shards);
+    options.breaker.failure_threshold = 3;
+    options.breaker.cooldown_s = 1.0;
+    auto made = OptimizerService::Create(registry_, schema_, *base_,
+                                         *forest_, options);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    ASSERT_EQ((*made)->num_shards(), num_shards);
+    OptimizerService* service = made->get();
 
-  constexpr int kWorkers = 4;
-  constexpr int kIters = 20;
-  constexpr int kChaosRounds = 6;
-  std::atomic<uint64_t> mismatches{0};
-  std::atomic<uint64_t> failures{0};
+    constexpr int kWorkers = 4;
+    constexpr int kIters = 20;
+    constexpr int kChaosRounds = 6;
+    std::atomic<uint64_t> mismatches{0};
+    std::atomic<uint64_t> failures{0};
 
-  // Chaos: promotions (identical model), no-op retrain cycles, and full
-  // breaker trip/recover flaps on Spark — all racing the serving threads.
-  std::thread chaos([&] {
-    PlatformHealth* health = service->health();
-    for (int round = 0; round < kChaosRounds; ++round) {
-      service->PublishExternal(*forest_);
-      (void)service->RetrainNow(/*force=*/false);
-      for (int i = 0; i < sharded_options.breaker.failure_threshold; ++i) {
-        health->RecordFailure(kSpark);
+    // Chaos: promotions (identical model), no-op retrain cycles, and full
+    // breaker trip/recover flaps on Spark — all racing the serving threads.
+    std::thread chaos([&] {
+      PlatformHealth* health = service->health();
+      for (int round = 0; round < kChaosRounds; ++round) {
+        service->PublishExternal(*forest_);
+        (void)service->RetrainNow(/*force=*/false);
+        for (int i = 0; i < options.breaker.failure_threshold; ++i) {
+          health->RecordFailure(kSpark);
+        }
+        health->AdvanceClock(options.breaker.cooldown_s);
+        (void)health->state(kSpark);  // Applies open -> half-open.
+        health->RecordSuccess(kSpark);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      health->AdvanceClock(sharded_options.breaker.cooldown_s);
-      (void)health->state(kSpark);  // Applies open -> half-open.
-      health->RecordSuccess(kSpark);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
+    });
 
-  std::vector<std::thread> workers;
-  workers.reserve(kWorkers);
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      RequestContext ctx;
-      ctx.tenant = static_cast<uint64_t>(w);
-      ctx.deadline_s = -1.0;  // Never shed: every plan must be served.
-      for (int iter = 0; iter < kIters; ++iter) {
-        for (size_t p = 0; p < sizes.size(); ++p) {
-          LogicalPlan plan = MakeWordCountPlan(sizes[p]);
-          auto result = service->Optimize(plan, nullptr, java_only, ctx);
-          if (!result.ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          if (result->optimize.predicted_runtime_s != refs[p].predicted) {
-            mismatches.fetch_add(1);
-          }
-          for (const auto& [op_id, alt] : refs[p].alts) {
-            if (result->optimize.plan.alt_index(op_id) != alt) {
+    std::vector<std::thread> workers;
+    workers.reserve(kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        RequestContext ctx;
+        ctx.tenant = static_cast<uint64_t>(w);
+        ctx.deadline_s = -1.0;  // Never shed: every plan must be served.
+        for (int iter = 0; iter < kIters; ++iter) {
+          for (size_t p = 0; p < sizes.size(); ++p) {
+            LogicalPlan plan = MakeWordCountPlan(sizes[p]);
+            auto result = service->Optimize(plan, nullptr, java_only, ctx);
+            if (!result.ok()) {
+              failures.fetch_add(1);
+              continue;
+            }
+            if (std::bit_cast<uint32_t>(
+                    result->optimize.predicted_runtime_s) !=
+                refs[p].predicted_bits) {
               mismatches.fetch_add(1);
+            }
+            for (const auto& [op_id, alt] : refs[p].alts) {
+              if (result->optimize.plan.alt_index(op_id) != alt) {
+                mismatches.fetch_add(1);
+              }
             }
           }
         }
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  chaos.join();
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    chaos.join();
 
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
 
-  const ServeStats stats = service->Stats();
-  constexpr uint64_t kTotal =
-      static_cast<uint64_t>(kWorkers) * kIters * 6 /* sizes */;
-  EXPECT_EQ(stats.num_shards, 4);
-  ASSERT_EQ(stats.shards.size(), 4u);
-  EXPECT_EQ(stats.shard_processed, kTotal);
-  EXPECT_EQ(stats.shard_shed_queue_full, 0u);
-  EXPECT_EQ(stats.shard_shed_deadline, 0u);
-  EXPECT_EQ(stats.shard_queue_depth, 0u);
-  uint64_t routed = 0;
-  for (const ShardStats& shard : stats.shards) {
-    routed += shard.routed;
-    EXPECT_EQ(shard.queue_depth, 0u);
+    const ServeStats stats = service->Stats();
+    constexpr uint64_t kTotal =
+        static_cast<uint64_t>(kWorkers) * kIters * 6 /* sizes */;
+    EXPECT_EQ(stats.num_shards, num_shards);
+    ASSERT_EQ(stats.shards.size(), static_cast<size_t>(num_shards));
+    EXPECT_EQ(stats.shard_processed, kTotal);
+    EXPECT_EQ(stats.shard_shed_queue_full, 0u);
+    EXPECT_EQ(stats.shard_shed_deadline, 0u);
+    EXPECT_EQ(stats.shard_queue_depth, 0u);
+    uint64_t routed = 0;
+    for (const ShardStats& shard : stats.shards) {
+      routed += shard.routed;
+      EXPECT_EQ(shard.queue_depth, 0u);
+    }
+    EXPECT_EQ(routed, kTotal);
+    // Every chaos publish landed (v1 + kChaosRounds external pushes).
+    EXPECT_EQ(stats.current_version, 1u + kChaosRounds);
+    // The chaos trips were observed by the breaker plane.
+    EXPECT_EQ(stats.recovery.breaker_trips,
+              static_cast<uint64_t>(kChaosRounds));
+    EXPECT_EQ(stats.recovery.breaker_recoveries,
+              static_cast<uint64_t>(kChaosRounds));
   }
-  EXPECT_EQ(routed, kTotal);
-  // Every chaos publish landed (v1 + kChaosRounds external pushes).
-  EXPECT_EQ(stats.current_version, 1u + kChaosRounds);
-  // The chaos trips were observed by the breaker plane.
-  EXPECT_EQ(stats.recovery.breaker_trips,
-            static_cast<uint64_t>(kChaosRounds));
-  EXPECT_EQ(stats.recovery.breaker_recoveries,
-            static_cast<uint64_t>(kChaosRounds));
 }
 
 TEST_F(ShardSoakTest, BreakerTripInvalidatesEveryShardWithoutLoss) {
@@ -215,8 +220,9 @@ TEST_F(ShardSoakTest, BreakerTripInvalidatesEveryShardWithoutLoss) {
   }
   ASSERT_EQ((*service)->Stats().plan_cache.insertions, sizes.size());
 
-  // Spark goes dark. The invalidation fans out lazily: each shard
-  // reconciles the trip epoch on its next request entry.
+  // Spark goes dark through health() directly, with no OnExecutionFailure
+  // to fan the trip out eagerly: each shard reconciles the trip epoch on
+  // its next request entry (the lazy backstop).
   for (int i = 0; i < options.breaker.failure_threshold; ++i) {
     (*service)->health()->RecordFailure(kSpark);
   }
@@ -395,21 +401,24 @@ TEST_F(ShardSoakTest, StatsAndExportSurfaceShardDimensions) {
   ASSERT_EQ(stats.shards.size(), 4u);
   // The feedback collector stripes its drop counters per shard.
   EXPECT_EQ(stats.feedback.stripe_dropped.size(), 4u);
-  // Per-shard gauges only exist in sharded mode; aggregates always do.
   const std::string prom = (*sharded)->ExportPrometheus();
   EXPECT_NE(prom.find("robopt_shard_count 4"), std::string::npos);
   EXPECT_NE(prom.find("robopt_shard_processed_total 1"), std::string::npos);
   EXPECT_NE(prom.find("robopt_shard_routed{shard=\"0\"}"), std::string::npos);
 
-  auto legacy = OptimizerService::Create(registry_, schema_, *base_,
+  // One shard is the same path with N = 1: the same dimensions, one entry.
+  auto single = OptimizerService::Create(registry_, schema_, *base_,
                                          *forest_, ShardedServeOptions(1));
-  ASSERT_TRUE(legacy.ok());
-  const ServeStats legacy_stats = (*legacy)->Stats();
-  EXPECT_EQ(legacy_stats.num_shards, 1);
-  EXPECT_TRUE(legacy_stats.shards.empty());
-  const std::string legacy_prom = (*legacy)->ExportPrometheus();
-  EXPECT_NE(legacy_prom.find("robopt_shard_count 1"), std::string::npos);
-  EXPECT_EQ(legacy_prom.find("robopt_shard_routed{shard="), std::string::npos);
+  ASSERT_TRUE(single.ok());
+  const ServeStats single_stats = (*single)->Stats();
+  EXPECT_EQ(single_stats.num_shards, 1);
+  EXPECT_EQ(single_stats.shards.size(), 1u);
+  const std::string single_prom = (*single)->ExportPrometheus();
+  EXPECT_NE(single_prom.find("robopt_shard_count 1"), std::string::npos);
+  EXPECT_NE(single_prom.find("robopt_shard_routed{shard=\"0\"}"),
+            std::string::npos);
+  EXPECT_EQ(single_prom.find("robopt_shard_routed{shard=\"1\"}"),
+            std::string::npos);
 }
 
 }  // namespace
