@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #ifndef _WIN32
@@ -11,7 +12,10 @@
 #include <unistd.h>
 #endif
 
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace robopt {
 
@@ -21,30 +25,63 @@ RandomForest::RandomForest(Params params) : params_(params) {}
 
 Status RandomForest::Train(const MlDataset& data) {
   if (data.size() == 0) return Status::InvalidArgument("empty training set");
-  // Transform labels once; trees then fit the transformed set.
-  MlDataset transformed(data.dim());
-  for (size_t i = 0; i < data.size(); ++i) {
-    const float label =
-        params_.log_label
-            ? static_cast<float>(std::log1p(
-                  static_cast<double>(data.label(i))))
-            : data.label(i);
-    transformed.Add(data.row(i), label);
+  if (params_.num_trees < 1) {
+    return Status::InvalidArgument("num_trees must be at least 1");
   }
+  const double sample_rows =
+      params_.subsample * static_cast<double>(data.size());
+  if (!std::isfinite(params_.subsample) || params_.subsample <= 0.0 ||
+      sample_rows > static_cast<double>(std::numeric_limits<uint32_t>::max())) {
+    return Status::InvalidArgument(
+        "subsample must be a finite positive fraction of the training set");
+  }
+  const bool obs_on = ROBOPT_OBS_ON(params_.obs);
+  Tracer* const tracer = obs_on ? params_.obs.tracer : nullptr;
+  uint64_t trace_id = params_.obs.trace_id;
+  if (tracer != nullptr && trace_id == 0) trace_id = tracer->NewTrace();
+  SpanScope span(tracer, trace_id, params_.obs.parent_span, "forest_train");
+  Stopwatch watch;
+
+  // Transform labels once; every tree then fits one presorted copy.
+  std::vector<float> labels(data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    labels[i] = params_.log_label
+                    ? static_cast<float>(
+                          std::log1p(static_cast<double>(data.label(i))))
+                    : data.label(i);
+  }
+  auto columns = PresortedColumns::Build(data, std::move(labels));
+  if (!columns.ok()) return columns.status();
 
   meta_.trained_rows = data.size();
   Rng rng(params_.seed);
   trees_.assign(params_.num_trees, DecisionTree());
-  const auto sample_size = static_cast<size_t>(
-      params_.subsample * static_cast<double>(transformed.size()));
+  const auto sample_size = static_cast<size_t>(sample_rows);
   std::vector<uint32_t> indices(std::max<size_t>(sample_size, 1));
+  size_t nodes = 0;
   for (DecisionTree& tree : trees_) {
     for (uint32_t& index : indices) {
-      index = static_cast<uint32_t>(rng.NextBounded(transformed.size()));
+      index = static_cast<uint32_t>(rng.NextBounded(data.size()));
     }
-    tree.Fit(transformed, indices, params_.tree, &rng);
+    tree.Fit(*columns, indices, params_.tree, &rng);
+    nodes += tree.num_nodes();
   }
   kernel_.Build(trees_);
+
+  if (obs_on && params_.obs.metrics != nullptr) {
+    MetricsRegistry* metrics = params_.obs.metrics;
+    static const std::vector<double> kFitBucketsS = {
+        0.01, 0.04, 0.16, 0.64, 2.56, 10.24, 40.96, 163.84, 655.36};
+    if (Histogram* fit = metrics->GetHistogram("robopt_forest_fit_seconds",
+                                               kFitBucketsS)) {
+      fit->Observe(watch.ElapsedSeconds());
+    }
+    if (Counter* total = metrics->GetCounter("robopt_forest_nodes_total")) {
+      total->Add(nodes);
+    }
+  }
+  span.SetArgA("rows", static_cast<int64_t>(data.size()));
+  span.SetArgB("nodes", static_cast<int64_t>(nodes));
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 #include "ml/decision_tree.h"
 #include "ml/forest_kernel.h"
 #include "ml/model.h"
+#include "obs/profile.h"
 
 namespace robopt {
 
@@ -40,6 +41,10 @@ class RandomForest : public RuntimeModel {
     /// kernel accumulates each row over trees in a fixed order within a
     /// fixed-size row block, independent of the thread count.
     int num_threads = 1;
+    /// Training observability: a "forest_train" span plus the
+    /// robopt_forest_fit_seconds / robopt_forest_nodes_total metrics. The
+    /// trees are bit-identical with it on or off.
+    ObsOptions obs;
   };
 
   RandomForest();
@@ -49,6 +54,10 @@ class RandomForest : public RuntimeModel {
   /// concurrency, 1 = serial). Training and serialization are unaffected.
   void set_num_threads(int num_threads) { params_.num_threads = num_threads; }
 
+  /// Fits `num_trees` bagged trees over one presorted copy of `data` (see
+  /// DESIGN.md, "Forest training"). Rejects num_trees < 1, a subsample
+  /// that is not a finite positive fraction, and non-finite features or
+  /// (transformed) labels.
   Status Train(const MlDataset& data) override;
   /// Batch inference through the flattened SoA ForestKernel (built by
   /// Train/Load). Bit-identical to PredictBatchReference on every SIMD

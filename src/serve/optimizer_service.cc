@@ -312,7 +312,7 @@ StatusOr<std::unique_ptr<OptimizerService>> OptimizerService::Create(
       return Status::InvalidArgument(
           "no initial model was given and the base dataset is empty");
     }
-    auto forest = std::make_shared<RandomForest>(service->options_.forest);
+    auto forest = std::make_shared<RandomForest>(service->ForestParams());
     ROBOPT_RETURN_IF_ERROR(forest->Train(service->base_train_));
     initial = std::move(forest);
   }
@@ -930,7 +930,7 @@ StatusOr<RetrainOutcome> OptimizerService::RetrainNow(bool force) {
   outcome.triggered = true;
   outcome.experience_rows = experience_.size();
   auto candidate = experience_.Retrain(base_train_, options_.experience_weight,
-                                       options_.forest);
+                                       ForestParams());
   if (!candidate.ok()) return candidate.status();
   last_train_ = now;
   events_since_train_ = 0;
@@ -1045,6 +1045,12 @@ ServeStats OptimizerService::Stats() const {
     stats.recovery.plans_invalidated_on_trip = plans_invalidated_on_trip_;
   }
   return stats;
+}
+
+RandomForest::Params OptimizerService::ForestParams() {
+  RandomForest::Params params = options_.forest;
+  if (!params.obs.enabled()) params.obs = obs();
+  return params;
 }
 
 ObsOptions OptimizerService::obs() {

@@ -567,6 +567,9 @@ class OptimizerService : public ExecutionObserver {
   void ReconcileTrips(Shard& shard);
   /// Consistent copy of the holdout set.
   MlDataset HoldoutSnapshot() const;
+  /// options_.forest, training into the service's own metrics and trace
+  /// ring when observability is on and the caller set no sinks of its own.
+  RandomForest::Params ForestParams();
   void WorkerLoop();
 
   const PlatformRegistry* registry_;

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/cost_oracle.h"
 #include "core/priority_enumeration.h"
+#include "obs/trace.h"
 #include "tdgen/interpolation.h"
 #include "workloads/synthetic.h"
 
@@ -22,6 +23,11 @@ Tdgen::Tdgen(const PlatformRegistry* registry, const FeatureSchema* schema,
 
 StatusOr<MlDataset> Tdgen::Generate(TdgenReport* report) {
   constexpr double kBaseCardinality = 1e6;
+  Tracer* const tracer =
+      ROBOPT_OBS_ON(options_.obs) ? options_.obs.tracer : nullptr;
+  uint64_t trace_id = options_.obs.trace_id;
+  if (tracer != nullptr && trace_id == 0) trace_id = tracer->NewTrace();
+  SpanScope span(tracer, trace_id, options_.obs.parent_span, "tdgen_generate");
   MlDataset data(schema_->width());
   TdgenReport local_report;
   Rng rng(options_.seed);
@@ -196,6 +202,9 @@ StatusOr<MlDataset> Tdgen::Generate(TdgenReport* report) {
   }
 
   if (report != nullptr) *report = local_report;
+  span.SetArgA("rows", static_cast<int64_t>(data.size()));
+  span.SetArgB("jobs_executed",
+               static_cast<int64_t>(local_report.jobs_executed));
   return data;
 }
 
@@ -203,6 +212,11 @@ StatusOr<std::unique_ptr<RandomForest>> TrainRuntimeModel(
     const PlatformRegistry* registry, const FeatureSchema* schema,
     const Executor* executor, TdgenOptions options,
     RegressionMetrics* holdout, TdgenReport* report) {
+  // Generation and fit share one trace.
+  if (ROBOPT_OBS_ON(options.obs) && options.obs.tracer != nullptr &&
+      options.obs.trace_id == 0) {
+    options.obs.trace_id = options.obs.tracer->NewTrace();
+  }
   Tdgen tdgen(registry, schema, executor, options);
   auto data = tdgen.Generate(report);
   if (!data.ok()) return data.status();
@@ -217,6 +231,7 @@ StatusOr<std::unique_ptr<RandomForest>> TrainRuntimeModel(
   // Regression forests do better with ~d/3 features per split than sqrt(d):
   // only a handful of the plan-vector cells matter for any one plan shape.
   params.tree.max_features = static_cast<int>(schema->width() / 3);
+  params.obs = options.obs;
   auto forest = std::make_unique<RandomForest>(params);
   ROBOPT_RETURN_IF_ERROR(forest->Train(train));
   if (holdout != nullptr) *holdout = Evaluate(*forest, test);

@@ -11,6 +11,7 @@
 #include "ml/metrics.h"
 #include "ml/ml_dataset.h"
 #include "ml/random_forest.h"
+#include "obs/profile.h"
 #include "plan/logical_plan.h"
 
 namespace robopt {
@@ -56,6 +57,11 @@ struct TdgenOptions {
   /// the optimizer blind — a penalty works better.
   double failure_penalty_s = 1e5;
   uint64_t seed = 7;
+  /// Generation observability: a "tdgen_generate" span. TrainRuntimeModel
+  /// also hands these sinks to the forest, whose "forest_train" span joins
+  /// the same trace. The training set and model are bit-identical either
+  /// way.
+  ObsOptions obs;
 };
 
 /// Statistics of one generation run (reported by the Fig. 8 bench and the

@@ -3,7 +3,8 @@
 ///     multi-platform registry, exported to a loadable Chrome trace;
 ///   - the optimize profile's phases, Algorithm 1's queue included, fit in
 ///     the call's total;
-///   - bit-identical results with observability on vs. off;
+///   - bit-identical results with observability on vs. off, model
+///     training (TDGEN + forest fit spans and metrics) included;
 ///   - snapshot-vs-struct equality for every stats struct with an
 ///     ExportTo() hook (serve, feedback, plan cache, drift, recovery,
 ///     breakers);
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -241,6 +243,72 @@ TEST_F(ObsRoundTripTest, ObservabilityOnAndOffAreBitIdentical) {
   // The plain run must not have paid for a profile.
   EXPECT_FALSE(plain_result->profile.enabled);
   EXPECT_TRUE(plain_result->profile.ops.empty());
+}
+
+// Model training is observable: TrainRuntimeModel records a
+// "tdgen_generate" and a "forest_train" span in one trace and publishes the
+// fit's duration and node count, while the forest stays bit-identical to
+// an uninstrumented build.
+TEST_F(ObsRoundTripTest, ModelTrainingEmitsSpansAndMetricsWithSameBits) {
+  Executor executor(&registry_, &cost_);
+  TdgenOptions options;
+  options.plans_per_shape = 2;
+  options.max_operators = 8;
+  options.max_structures_per_plan = 8;
+  options.seed = 17;
+  RegressionMetrics plain_holdout;
+  auto plain = TrainRuntimeModel(&registry_, &schema_, &executor, options,
+                                 &plain_holdout);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  MetricsRegistry metrics;
+  Tracer tracer(1024);
+  options.obs.metrics = &metrics;
+  options.obs.tracer = &tracer;
+  RegressionMetrics observed_holdout;
+  auto observed = TrainRuntimeModel(&registry_, &schema_, &executor, options,
+                                    &observed_holdout);
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+
+  std::ostringstream plain_bytes;
+  std::ostringstream observed_bytes;
+  size_t nodes = 0;
+  for (const DecisionTree& tree : (*plain)->trees()) {
+    tree.Serialize(plain_bytes);
+  }
+  for (const DecisionTree& tree : (*observed)->trees()) {
+    tree.Serialize(observed_bytes);
+    nodes += tree.num_nodes();
+  }
+  EXPECT_EQ(observed_bytes.str(), plain_bytes.str());
+  EXPECT_EQ(observed_holdout.r2, plain_holdout.r2);
+  EXPECT_EQ(observed_holdout.spearman, plain_holdout.spearman);
+
+  const std::vector<SpanRecord> spans = tracer.Collect();
+  std::map<std::string, SpanRecord> by_name;
+  for (const SpanRecord& span : spans) by_name[std::string(span.name)] = span;
+  ASSERT_EQ(by_name.count("tdgen_generate"), 1u);
+  ASSERT_EQ(by_name.count("forest_train"), 1u);
+  const SpanRecord& generate = by_name["tdgen_generate"];
+  const SpanRecord& train = by_name["forest_train"];
+  EXPECT_NE(generate.trace_id, 0u);
+  EXPECT_EQ(train.trace_id, generate.trace_id);
+  EXPECT_LE(generate.start_us + generate.dur_us, train.start_us);
+  EXPECT_GT(generate.arg_a, 0);  // Rows generated.
+  EXPECT_EQ(train.arg_b, static_cast<int64_t>(nodes));
+
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Value("robopt_forest_nodes_total"),
+                   static_cast<double>(nodes));
+  bool found_fit = false;
+  for (const MetricPoint& point : snap.points) {
+    if (point.name != "robopt_forest_fit_seconds") continue;
+    found_fit = true;
+    EXPECT_EQ(point.type, MetricPoint::Type::kHistogram);
+    EXPECT_EQ(point.count, 1u);
+    EXPECT_GT(point.value, 0.0);
+  }
+  EXPECT_TRUE(found_fit);
 }
 
 // The regression this pins down: ExecResult/FaultStats are per-call structs;
@@ -657,6 +725,9 @@ TEST_F(ObsServeTest, PrometheusEndpointCoversTheWholeMetricTable) {
       // ML inference telemetry.
       "robopt_ml_forest_rows_scored_total",
       "robopt_ml_forest_batches_total",
+      // Model training (src/ml, via the service's own fits).
+      "robopt_forest_fit_seconds",
+      "robopt_forest_nodes_total",
       // Workload API + trace record/replay (src/workload).
       "robopt_workload_ops_total",
       "robopt_trace_records_written_total",
