@@ -4,10 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "ml/model.h"
 
@@ -32,9 +29,9 @@ class CostOracle {
   size_t batches() const { return batches_.load(std::memory_order_relaxed); }
 
  protected:
-  /// Relaxed atomics: an oracle may be shared across threads (e.g. a cache
-  /// serving parallel prune shards), and the counters are pure telemetry
-  /// with no ordering requirements.
+  /// Relaxed atomics: an oracle may be shared across threads (e.g. one
+  /// pinned model serving concurrent optimize calls), and the counters are
+  /// pure telemetry with no ordering requirements.
   void Count(size_t n) const {
     rows_estimated_.fetch_add(n, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
@@ -52,13 +49,6 @@ class CostOracle {
 /// (0 = unversioned, e.g. a plain long-lived oracle).
 struct PinnedOracle {
   std::shared_ptr<const CostOracle> oracle;
-  /// The same model through its quantized inference path, when the provider
-  /// published one *and* it passed the serving layer's holdout-error gate;
-  /// nullptr otherwise. Callers that request quantized inference
-  /// (OptimizeOptions::quantized_inference) use this oracle when present
-  /// and silently fall back to the exact one when not — an unvalidated
-  /// quantized table must never serve.
-  std::shared_ptr<const CostOracle> quantized_oracle;
   uint64_t version = 0;
 };
 
@@ -80,27 +70,17 @@ class OracleProvider {
 /// CostOracle backed by a trained runtime model (Robopt's default).
 class MlCostOracle : public CostOracle {
  public:
-  /// `model` must outlive the oracle. With `quantized`, batches go through
-  /// the model's reduced-precision path (PredictBatchQuantized) — identical
-  /// to the exact path for models without a quantized representation.
-  explicit MlCostOracle(const RuntimeModel* model, bool quantized = false)
-      : model_(model), quantized_(quantized) {}
+  /// `model` must outlive the oracle.
+  explicit MlCostOracle(const RuntimeModel* model) : model_(model) {}
 
   void EstimateBatch(const float* x, size_t n, size_t dim,
                      float* out) const override {
     Count(n);
-    if (quantized_) {
-      model_->PredictBatchQuantized(x, n, dim, out);
-    } else {
-      model_->PredictBatch(x, n, dim, out);
-    }
+    model_->PredictBatch(x, n, dim, out);
   }
-
-  bool quantized() const { return quantized_; }
 
  private:
   const RuntimeModel* model_;
-  const bool quantized_;
 };
 
 /// Oracle that deems every plan free. Used where the enumeration machinery
@@ -113,122 +93,6 @@ class ZeroCostOracle : public CostOracle {
     Count(n);
     for (size_t i = 0; i < n; ++i) out[i] = 0.0f;
   }
-};
-
-/// Counters of the memoizing oracle cache. `rows` always equals
-/// `hits + batch_dups + unique_rows`: every row is either served from the
-/// cross-batch table, folded into an identical row earlier in the same
-/// batch, or sent to the inner oracle.
-struct OracleCacheStats {
-  size_t rows = 0;         ///< Rows seen by the cache.
-  size_t hits = 0;         ///< Served from the cross-batch table.
-  size_t batch_dups = 0;   ///< Folded into an identical in-batch row.
-  size_t unique_rows = 0;  ///< Reached the inner oracle.
-  size_t evictions = 0;    ///< Generation bumps (whole-table evictions).
-  size_t entries = 0;      ///< Live entries at snapshot time.
-  size_t capacity = 0;     ///< Table slots (0: budget too small for one).
-
-  /// Rows not served by the cross-batch table.
-  size_t misses() const { return batch_dups + unique_rows; }
-};
-
-/// Memoizing fast path in front of any CostOracle (the paper reports that
-/// model invocation dominates optimization time, and boundary-pruned
-/// enumeration re-estimates structurally identical rows round after round —
-/// e.g. every final-ArgMinCost row was just estimated by the last prune).
-///
-/// Two mechanisms, both keyed on the raw bytes of a `dim`-float row through
-/// a four-lane multiply-mix hash:
-///   - *batch dedup*: identical rows within one EstimateBatch call are
-///     estimated once and scattered back in row order. Candidate matches
-///     are byte-verified against the gathered unique rows, so in-batch
-///     folding is exact regardless of hash quality.
-///   - *cross-batch memoization*: an open-addressing table with a bounded
-///     byte budget remembers predictions across batches and optimize calls,
-///     keyed by a 128-bit fingerprint (two independently mixed 64-bit lanes
-///     of the same hash pass) rather than the stored row: at plan-vector
-///     widths the byte compare against a stored key costs as much memory
-///     traffic as the forest inference it replaces. Two distinct rows alias
-///     only if both lanes collide (~2^-128 per pair — vanishingly unlikely
-///     even across billions of rows, and far below the hardware fault
-///     rate). Eviction is generation-based: when the live count reaches
-///     the load cap the generation counter bumps, logically emptying every
-///     slot in O(1) — no tombstones, no broken probe chains.
-///
-/// Outputs are bit-identical to the uncached oracle because the inner
-/// oracle must be row-wise pure (a row's prediction depends only on its own
-/// bytes — true of every oracle in this repository, including the blocked
-/// forest kernel), so replaying a stored prediction equals recomputing it.
-///
-/// Thread-safe: EstimateBatch serializes on an internal mutex, so one cache
-/// may be shared by concurrent optimize calls.
-class CachingCostOracle : public CostOracle {
- public:
-  /// `inner` must outlive the cache. `budget_bytes` bounds the memoization
-  /// table (32 bytes per slot); a budget too small for even one entry
-  /// disables the table but keeps within-batch dedup.
-  CachingCostOracle(const CostOracle* inner, size_t budget_bytes)
-      : inner_(inner), budget_bytes_(budget_bytes) {}
-
-  void EstimateBatch(const float* x, size_t n, size_t dim,
-                     float* out) const override;
-
-  /// Snapshot of the cache counters (lock-synchronized).
-  OracleCacheStats stats() const;
-
-  const CostOracle* inner() const { return inner_; }
-
- private:
-  /// Two independently mixed 64-bit lanes over a row's bytes.
-  struct RowHash {
-    uint64_t a = 0;
-    uint64_t b = 0;
-  };
-
-  /// No default member initializers: slots live in calloc'd storage (all
-  /// zeros = not live, since gen_ starts at 1 and only grows), so sizing a
-  /// large table costs lazily faulted zero pages instead of an upfront
-  /// fill.
-  struct Slot {
-    uint64_t hash_a;
-    uint64_t hash_b;
-    uint64_t gen;  ///< Live iff equal to the cache's current gen_.
-    float prediction;
-  };
-
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
-  };
-
-  /// The four-lane multiply-mix hash over a row's bytes.
-  static RowHash HashRow(const float* row, size_t dim);
-  /// (Re)sizes the table for rows of `dim` floats; flushes all entries.
-  void Configure(size_t dim) const;
-  /// Index of the live slot holding `hash`, or SIZE_MAX.
-  size_t FindLive(RowHash hash) const;
-  /// Inserts a prediction, bumping the generation first if at the load cap.
-  void Insert(RowHash hash, float prediction) const;
-
-  const CostOracle* inner_;
-  const size_t budget_bytes_;
-
-  mutable std::mutex mu_;  ///< Guards everything below.
-  mutable size_t dim_ = 0;
-  mutable size_t capacity_ = 0;  ///< Power of two; 0 = table disabled.
-  mutable size_t max_live_ = 0;  ///< Load cap (< capacity_).
-  mutable uint64_t gen_ = 1;
-  mutable size_t live_ = 0;
-  mutable std::unique_ptr<Slot[], FreeDeleter> slots_;
-  mutable OracleCacheStats stats_;
-  /// Scratch reused across batches: unique miss rows gathered for the inner
-  /// call, their hashes/predictions, the (row, unique id) scatter list, and
-  /// a flat open-addressing index deduplicating rows within one batch.
-  mutable std::vector<float> unique_buf_;
-  mutable std::vector<float> unique_out_;
-  mutable std::vector<RowHash> unique_hash_;
-  mutable std::vector<uint32_t> pending_rows_;
-  mutable std::vector<uint32_t> pending_uid_;
-  mutable std::vector<uint32_t> batch_index_;
 };
 
 }  // namespace robopt

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
@@ -19,9 +18,7 @@ namespace {
 void PublishOptimizeMetrics(MetricsRegistry* metrics,
                             const OptimizeResult& result) {
   // Every series is created on the first instrumented call — zero values
-  // included — so a scrape can tell "ran, saw none" from "never ran". The
-  // cache counters are the one exception: they exist only when a cache was
-  // actually in play for some call.
+  // included — so a scrape can tell "ran, saw none" from "never ran".
   auto add = [metrics](const char* name, size_t n) {
     if (Counter* counter = metrics->GetCounter(name)) counter->Add(n);
   };
@@ -30,11 +27,6 @@ void PublishOptimizeMetrics(MetricsRegistry* metrics,
   add("robopt_optimize_vectors_pruned_total", result.stats.vectors_pruned);
   add("robopt_optimize_oracle_rows_total", result.stats.oracle_rows);
   add("robopt_optimize_oracle_batches_total", result.stats.oracle_batches);
-  if (result.oracle_cache.rows > 0) {
-    add("robopt_oracle_cache_hits_total", result.oracle_cache.hits);
-    add("robopt_oracle_cache_dups_total", result.oracle_cache.batch_dups);
-    add("robopt_oracle_cache_unique_total", result.oracle_cache.unique_rows);
-  }
   if (Histogram* latency = metrics->GetHistogram(
           "robopt_optimize_latency_us", Histogram::LatencyBucketsUs())) {
     latency->Observe(result.latency_ms * 1000.0);
@@ -82,52 +74,24 @@ StatusOr<OptimizeResult> RoboptOptimizer::Optimize(
   // final getOptimal below share one version even if a newer model is
   // published concurrently (the shared_ptr keeps it alive, RCU-style).
   PinnedOracle pinned;
-  const CostOracle* base_oracle = oracle_;
-  bool quantized_used = false;
+  const CostOracle* oracle = oracle_;
   if (provider_ != nullptr) {
     pinned = provider_->Acquire();
     if (pinned.oracle == nullptr) {
       return Status::Internal("oracle provider has no model published");
     }
-    base_oracle = pinned.oracle.get();
-    // Quantized inference is opt-in per call and only served when the
-    // pinned model carries a *validated* quantized oracle; otherwise the
-    // exact path answers, so an unvalidated table can never serve.
-    if (options.quantized_inference && pinned.quantized_oracle != nullptr) {
-      base_oracle = pinned.quantized_oracle.get();
-      quantized_used = true;
-    }
+    oracle = pinned.oracle.get();
   }
 
-  // The memoizing oracle fast path: dedupe and cache cost lookups for this
-  // call. Wrapping here means every consumer below — boundary pruning and
-  // the final ArgMinCost of each enumerator run — shares one table, so the
-  // final getOptimal batch is served entirely from rows the last prune
-  // already estimated.
-  std::unique_ptr<CachingCostOracle> cache;
-  const CostOracle* oracle = base_oracle;
-  if (options.oracle_cache_bytes > 0) {
-    cache = std::make_unique<CachingCostOracle>(base_oracle,
-                                                options.oracle_cache_bytes);
-    oracle = cache.get();
-  }
-
-  // Common tail of both search modes: stamp version/cache/latency, fill the
+  // Common tail of both search modes: stamp version/latency, fill the
   // profile, close the root span and publish the call's metrics.
   auto finalize = [&](OptimizeResult& result) {
-    if (cache != nullptr) result.oracle_cache = cache->stats();
     result.model_version = pinned.version;
-    result.quantized_used = quantized_used;
     result.latency_ms = stopwatch.ElapsedMillis();
     if (prof != nullptr) {
       profile.plans_enumerated = result.stats.vectors_created;
       profile.oracle_rows = result.stats.oracle_rows;
       profile.oracle_batches = result.stats.oracle_batches;
-      profile.oracle_cache_hits = result.oracle_cache.hits;
-      profile.oracle_cache_dups = result.oracle_cache.batch_dups;
-      profile.forest_rows_scored = cache != nullptr
-                                       ? result.oracle_cache.unique_rows
-                                       : result.stats.oracle_rows;
       profile.phase.total_us = result.latency_ms * 1000.0;
       result.profile = profile;
     }

@@ -28,29 +28,11 @@ struct OptimizeOptions {
   /// (default); 1 = the exact serial code path. The chosen plan, its cost
   /// and all EnumerationStats are identical for every value.
   int num_threads = 0;
-  /// Byte budget for a per-call memoizing oracle cache (CachingCostOracle)
-  /// wrapped around the configured oracle: identical feature rows are
-  /// deduplicated within each batch and predictions are memoized across
-  /// batches, so only unique rows reach the model. 0 (default) disables
-  /// the cache. The chosen plan, its predicted cost and all
-  /// EnumerationStats are bit-identical with the cache on or off. To
-  /// memoize across Optimize calls instead, construct a long-lived
-  /// CachingCostOracle and pass it as the optimizer's oracle.
-  size_t oracle_cache_bytes = 0;
-  /// Estimate costs through the model's 8-bit quantized inference path for
-  /// this call. Default off. Only honored when the optimizer pins its
-  /// oracle from an OracleProvider whose current model published a
-  /// *validated* quantized table (PinnedOracle::quantized_oracle — the
-  /// serving layer fills it only after the quantized/exact holdout
-  /// log1p-MAE delta passed its bound); otherwise the exact oracle serves
-  /// the call unchanged. Part of the plan-cache key: quantized and exact
-  /// estimates may legitimately pick different plans.
-  bool quantized_inference = false;
   /// Observability sinks for this call: hot-path metrics, a span tree in
   /// the tracer, and/or a filled OptimizeResult::profile. All off by
   /// default; the chosen plan, its cost and every stat are bit-identical
   /// with observability on or off. Deliberately not part of the plan-cache
-  /// key (PlanCache::HashOptions) for the same reason num_threads is not.
+  /// key (PlanSearchOptions) for the same reason num_threads is not.
   ObsOptions obs;
   /// Diagnostics: report up to k runner-up plans (OptimizeResult::
   /// runners_up) next to the winner. Reuses the final getOptimal cost
@@ -77,23 +59,15 @@ struct OptimizeResult {
   double latency_ms = 0.0;
   /// In single-platform mode: the chosen platform.
   PlatformId chosen_platform = 0;
-  /// Cache counters when options.oracle_cache_bytes > 0 (all zero
-  /// otherwise). In single-platform mode one cache spans all per-platform
-  /// searches.
-  OracleCacheStats oracle_cache;
   /// Version of the model that served this call when the optimizer was
   /// constructed over an OracleProvider (0 with a raw oracle). The whole
   /// call — every prune and the final getOptimal — used this one version,
   /// even if a newer model was published mid-call.
   uint64_t model_version = 0;
-  /// Per-call profile (phase timeline, pruning split, oracle-cache ratios,
-  /// rows scored). Filled when options.obs.profile is set; all-zero with
+  /// Per-call profile (phase timeline, pruning split, oracle rows and
+  /// batches). Filled when options.obs.profile is set; all-zero with
   /// profile.enabled == false otherwise.
   OptimizeProfile profile;
-  /// True when the call's costs were estimated through a validated
-  /// quantized oracle (options.quantized_inference honored); false when
-  /// the exact path served it (including the silent fallback).
-  bool quantized_used = false;
   /// With options.top_k_runners > 0: the next-cheapest plans after the
   /// winner, ascending by predicted cost. In single-platform mode these
   /// are the other platforms' per-platform bests. Empty otherwise.

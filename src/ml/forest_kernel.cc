@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 
 #include "common/thread_pool.h"
 #include "ml/simd_dispatch.h"
@@ -25,27 +24,11 @@ struct PoolView {
   const int32_t* left;
   const int32_t* right;
   const float* value;
-  const uint8_t* threshold_q8;
-  const float* q8_base;  ///< Indexed by feature.
-  const float* q8_step;
 };
-
-/// The split threshold of `node` — exact, or dequantized from the 8-bit
-/// table. Only valid on internal nodes (feature >= 0).
-template <bool kQuantized>
-inline float NodeThreshold(const PoolView& p, int32_t node) {
-  if (kQuantized) {
-    const int32_t f = p.feature[node];
-    return p.q8_base[f] +
-           p.q8_step[f] * static_cast<float>(p.threshold_q8[node]);
-  }
-  return p.threshold[node];
-}
 
 /// The scalar-lane / guarded block walk: trees outer, rows inner, per-row
 /// double accumulators in fixed tree order. Reads a feature index beyond
 /// `dim` as 0.0, exactly like the reference path.
-template <bool kQuantized>
 void WalkBlockScalar(const PoolView& p, const int32_t* roots,
                      size_t num_trees, const float* bx, size_t rows,
                      size_t dim, double* acc) {
@@ -57,8 +40,7 @@ void WalkBlockScalar(const PoolView& p, const int32_t* roots,
       int32_t f = p.feature[node];
       while (f >= 0) {
         const float v = static_cast<size_t>(f) < dim ? r[f] : 0.0f;
-        node = v <= NodeThreshold<kQuantized>(p, node) ? p.left[node]
-                                                       : p.right[node];
+        node = v <= p.threshold[node] ? p.left[node] : p.right[node];
         f = p.feature[node];
       }
       acc[row] += p.value[node];
@@ -75,7 +57,6 @@ void WalkBlockScalar(const PoolView& p, const int32_t* roots,
 /// diverges to interleaved per-row walks from that node, so decisions are
 /// exactly the reference's. Accumulation stays per-row in fixed tree order:
 /// bit-identical to WalkBlockScalar.
-template <bool kQuantized>
 void WalkBlockGrouped(const PoolView& p, const int32_t* roots,
                       size_t num_trees, const float* bx, size_t rows,
                       size_t dim, double* acc, float* minv, float* maxv) {
@@ -92,7 +73,7 @@ void WalkBlockGrouped(const PoolView& p, const int32_t* roots,
         for (;;) {
           const int32_t f = p.feature[node];
           if (f < 0) break;
-          const float tv = NodeThreshold<kQuantized>(p, node);
+          const float tv = p.threshold[node];
           if (maxv[f] <= tv) {  // Every row's value <= tv: all go left.
             node = p.left[node];
             continue;
@@ -115,9 +96,8 @@ void WalkBlockGrouped(const PoolView& p, const int32_t* roots,
             const int32_t c = nd[i];
             const int32_t f = p.feature[c];
             if (f >= 0) {
-              nd[i] = g[i * dim + f] <= NodeThreshold<kQuantized>(p, c)
-                          ? p.left[c]
-                          : p.right[c];
+              nd[i] = g[i * dim + f] <= p.threshold[c] ? p.left[c]
+                                                       : p.right[c];
             }
             alive &= f;
           }
@@ -137,8 +117,7 @@ void WalkBlockGrouped(const PoolView& p, const int32_t* roots,
       int32_t node = roots[t];
       int32_t f = p.feature[node];
       while (f >= 0) {
-        node = row[f] <= NodeThreshold<kQuantized>(p, node) ? p.left[node]
-                                                            : p.right[node];
+        node = row[f] <= p.threshold[node] ? p.left[node] : p.right[node];
         f = p.feature[node];
       }
       acc[r] += static_cast<double>(p.value[node]);
@@ -164,9 +143,6 @@ void ForestKernel::Clear() {
   right_.clear();
   value_.clear();
   max_feature_ = -1;
-  threshold_q8_.clear();
-  q8_base_.clear();
-  q8_step_.clear();
 }
 
 void ForestKernel::Build(const std::vector<DecisionTree>& trees) {
@@ -204,55 +180,6 @@ void ForestKernel::Build(const std::vector<DecisionTree>& trees) {
       if (feature > max_feature_) max_feature_ = feature;
     }
   }
-  BuildQuantizedTables();
-}
-
-void ForestKernel::BuildQuantizedTables() {
-  const size_t nodes = feature_.size();
-  if (nodes == 0) return;
-  threshold_q8_.assign(nodes, 0);
-  const size_t nf = num_features();
-  q8_base_.assign(nf, 0.0f);
-  q8_step_.assign(nf, 0.0f);
-  if (nf == 0) return;
-  // Per-feature threshold range over all splits of that feature.
-  std::vector<float> lo(nf, std::numeric_limits<float>::infinity());
-  std::vector<float> hi(nf, -std::numeric_limits<float>::infinity());
-  for (size_t i = 0; i < nodes; ++i) {
-    const int32_t f = feature_[i];
-    if (f < 0) continue;
-    lo[f] = std::min(lo[f], threshold_[i]);
-    hi[f] = std::max(hi[f], threshold_[i]);
-  }
-  std::vector<double> step(nf, 0.0);
-  for (size_t f = 0; f < nf; ++f) {
-    if (!(lo[f] <= hi[f])) continue;  // Feature never split on.
-    step[f] = (static_cast<double>(hi[f]) - static_cast<double>(lo[f])) /
-              255.0;
-    q8_base_[f] = lo[f];
-    q8_step_[f] = static_cast<float>(step[f]);
-  }
-  for (size_t i = 0; i < nodes; ++i) {
-    const int32_t f = feature_[i];
-    if (f < 0 || step[f] == 0.0) continue;  // Leaf, or exact (single value).
-    const double q = std::nearbyint(
-        (static_cast<double>(threshold_[i]) - static_cast<double>(lo[f])) /
-        step[f]);
-    threshold_q8_[i] =
-        static_cast<uint8_t>(q < 0.0 ? 0.0 : (q > 255.0 ? 255.0 : q));
-  }
-}
-
-float ForestKernel::QuantizationMaxAbsError() const {
-  float worst = 0.0f;
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    const int32_t f = feature_[i];
-    if (f < 0) continue;
-    const float dequantized =
-        q8_base_[f] + q8_step_[f] * static_cast<float>(threshold_q8_[i]);
-    worst = std::max(worst, std::fabs(threshold_[i] - dequantized));
-  }
-  return worst;
 }
 
 float ForestKernel::PredictTree(size_t t, const float* row, size_t dim) const {
@@ -271,8 +198,8 @@ float ForestKernel::PredictTree(size_t t, const float* row, size_t dim) const {
 }
 
 void ForestKernel::PredictBatch(const float* x, size_t n, size_t dim,
-                                float* out, bool log_label, int num_threads,
-                                bool quantized) const {
+                                float* out, bool log_label,
+                                int num_threads) const {
   if (n == 0) return;
   g_rows_scored.fetch_add(n, std::memory_order_relaxed);
   g_batches.fetch_add(1, std::memory_order_relaxed);
@@ -285,8 +212,7 @@ void ForestKernel::PredictBatch(const float* x, size_t n, size_t dim,
                                        : num_threads;
   const size_t num_blocks = (n + kRowBlock - 1) / kRowBlock;
   const PoolView pool{feature_.data(), threshold_.data(), left_.data(),
-                      right_.data(),   value_.data(),     threshold_q8_.data(),
-                      q8_base_.data(), q8_step_.data()};
+                      right_.data(), value_.data()};
   const int32_t* roots = roots_.data();
   const size_t num_trees = roots_.size();
   // The grouped (extrema-speculation) kernel reads row[f] unguarded and
@@ -295,7 +221,6 @@ void ForestKernel::PredictBatch(const float* x, size_t n, size_t dim,
   // summary pass would cost about what it saves).
   const bool grouped = num_features() <= dim &&
                        simd::ActiveLane() != simd::Lane::kScalar;
-  const bool quantize = quantized && has_quantized();
   ParallelFor(threads, 0, num_blocks, 1, [&](size_t block0, size_t block1) {
     double acc[kRowBlock];
     // Per-feature min/max summary scratch of the grouped kernel, reused
@@ -307,19 +232,10 @@ void ForestKernel::PredictBatch(const float* x, size_t n, size_t dim,
       const float* bx = x + row0 * dim;
       std::fill(acc, acc + rows, 0.0);
       if (grouped) {
-        float* minv = extrema.data();
-        float* maxv = extrema.data() + dim;
-        if (quantize) {
-          WalkBlockGrouped<true>(pool, roots, num_trees, bx, rows, dim, acc,
-                                 minv, maxv);
-        } else {
-          WalkBlockGrouped<false>(pool, roots, num_trees, bx, rows, dim, acc,
-                                  minv, maxv);
-        }
-      } else if (quantize) {
-        WalkBlockScalar<true>(pool, roots, num_trees, bx, rows, dim, acc);
+        WalkBlockGrouped(pool, roots, num_trees, bx, rows, dim, acc,
+                         extrema.data(), extrema.data() + dim);
       } else {
-        WalkBlockScalar<false>(pool, roots, num_trees, bx, rows, dim, acc);
+        WalkBlockScalar(pool, roots, num_trees, bx, rows, dim, acc);
       }
       for (size_t row = 0; row < rows; ++row) {
         double result = acc[row] * inv;

@@ -23,7 +23,7 @@ namespace robopt {
 /// decisions, leaf values and accumulation order match the per-tree
 /// reference path (RandomForest::PredictBatchReference) exactly, so
 /// predictions are bit-identical to it for every thread count and every
-/// SIMD dispatch lane (see DESIGN.md, "SIMD inference & quantization").
+/// SIMD dispatch lane (see DESIGN.md, "SIMD inference").
 ///
 /// On a non-scalar lane, PredictBatch runs the extrema-speculation kernel:
 /// a SIMD pass computes per-feature min/max summaries of each 16-row group,
@@ -36,12 +36,6 @@ namespace robopt {
 /// and the traversal itself stays scalar compares — which is also why it is
 /// bit-stable (min/max and compares are exact; NaN-carrying groups are
 /// detected in the summary pass and walked per-row).
-///
-/// Build() additionally quantizes every split threshold to 8 bits with a
-/// per-feature affine map (threshold_q8()); quantized inference dequantizes
-/// thresholds on the fly and is *not* bit-identical to exact mode — callers
-/// opt in per batch, and the serving layer only turns it on after a
-/// measured holdout log1p-MAE bound passes (ServeOptions).
 class ForestKernel {
  public:
   /// Rows per inference block. Fixed (never derived from the thread count)
@@ -59,10 +53,9 @@ class ForestKernel {
   ForestKernel() = default;
 
   /// Rebuilds the pool from `trees`: one pass counts nodes so every array
-  /// is reserved at its exact final size, a second pass fills them, then
-  /// the per-feature 8-bit threshold tables are derived. A node-less tree
-  /// (a default-constructed DecisionTree) contributes one 0-valued leaf,
-  /// matching its Predict.
+  /// is reserved at its exact final size, a second pass fills them. A
+  /// node-less tree (a default-constructed DecisionTree) contributes one
+  /// 0-valued leaf, matching its Predict.
   void Build(const std::vector<DecisionTree>& trees);
   void Clear();
 
@@ -77,37 +70,24 @@ class ForestKernel {
     return max_feature_ < 0 ? 0 : static_cast<size_t>(max_feature_) + 1;
   }
 
-  /// True once Build() derived the 8-bit threshold tables (any non-empty
-  /// kernel).
-  bool has_quantized() const { return !threshold_q8_.empty(); }
-
   /// Test hook: every SoA node array starts on a 64-byte boundary (the
   /// AlignedVector guarantee the SIMD lanes rely on).
   bool node_arrays_aligned() const {
     return IsAligned(feature_.data()) && IsAligned(threshold_.data()) &&
            IsAligned(left_.data()) && IsAligned(right_.data()) &&
-           IsAligned(value_.data()) && IsAligned(threshold_q8_.data());
+           IsAligned(value_.data());
   }
 
   /// Mean prediction over all trees for `n` rows of `dim` floats; with
   /// `log_label` the mean is mapped back through expm1 and clamped at 0,
   /// exactly as RandomForest does. `num_threads`: 0 = hardware concurrency,
-  /// 1 = serial. In exact mode (`quantized` false) results are bit-identical
-  /// to the reference for every thread count and dispatch lane; in
-  /// quantized mode they are deterministic (same inputs -> same bits,
-  /// across lanes and thread counts too) but approximate. An empty kernel
-  /// predicts all zeros.
+  /// 1 = serial. Results are bit-identical to the reference for every
+  /// thread count and dispatch lane. An empty kernel predicts all zeros.
   void PredictBatch(const float* x, size_t n, size_t dim, float* out,
-                    bool log_label, int num_threads,
-                    bool quantized = false) const;
+                    bool log_label, int num_threads) const;
 
   /// Single-row walk of tree `t` (exposed for tests).
   float PredictTree(size_t t, const float* row, size_t dim) const;
-
-  /// Largest absolute threshold error the 8-bit quantization introduced on
-  /// any split: max over nodes of |threshold - dequantized(threshold_q8)|.
-  /// 0 for an empty kernel. The per-feature bound is (hi - lo) / 510.
-  float QuantizationMaxAbsError() const;
 
   /// Process-wide inference telemetry: rows / batches scored through any
   /// ForestKernel since process start. Two relaxed atomic adds per *batch*
@@ -119,8 +99,6 @@ class ForestKernel {
   static uint64_t TotalBatches();
 
  private:
-  void BuildQuantizedTables();
-
   AlignedVector<int32_t> roots_;    ///< Pool index of each tree's root.
   AlignedVector<int32_t> feature_;  ///< < 0 marks a leaf.
   AlignedVector<float> threshold_;
@@ -128,15 +106,6 @@ class ForestKernel {
   AlignedVector<int32_t> right_;    ///< Absolute pool index of the > child.
   AlignedVector<float> value_;      ///< Leaf prediction.
   int32_t max_feature_ = -1;        ///< Largest split feature (-1: none).
-
-  /// 8-bit quantized thresholds, parallel to threshold_: for a split on
-  /// feature f, threshold ~= q8_base_[f] + q8_step_[f] * threshold_q8_[i].
-  /// The affine map is per feature over [min, max] of that feature's
-  /// thresholds, so q8_step_ is 0 (and the dequantized value exact) when a
-  /// feature is split at a single threshold value.
-  AlignedVector<uint8_t> threshold_q8_;
-  AlignedVector<float> q8_base_;  ///< Indexed by feature, num_features().
-  AlignedVector<float> q8_step_;
 };
 
 }  // namespace robopt

@@ -25,16 +25,6 @@ class RuntimeModel {
   virtual void PredictBatch(const float* x, size_t n, size_t dim,
                             float* out) const = 0;
 
-  /// Reduced-precision batch prediction, for models that carry a quantized
-  /// representation (RandomForest's 8-bit thresholds). The default is the
-  /// exact path, so models without one behave identically through either
-  /// entry point. Callers opt in deliberately — the serving layer gates
-  /// this behind a measured holdout-error bound.
-  virtual void PredictBatchQuantized(const float* x, size_t n, size_t dim,
-                                     float* out) const {
-    PredictBatch(x, n, dim, out);
-  }
-
   /// Single-row convenience.
   float Predict(const float* x, size_t dim) const {
     float out = 0;

@@ -98,17 +98,6 @@ void RandomForest::PredictBatch(const float* x, size_t n, size_t dim,
                        params_.num_threads);
 }
 
-void RandomForest::PredictBatchQuantized(const float* x, size_t n, size_t dim,
-                                         float* out) const {
-  if (n == 0) return;
-  if (kernel_.num_trees() != trees_.size() || !kernel_.has_quantized()) {
-    PredictBatch(x, n, dim, out);
-    return;
-  }
-  kernel_.PredictBatch(x, n, dim, out, params_.log_label,
-                       params_.num_threads, /*quantized=*/true);
-}
-
 void RandomForest::PredictBatchReference(const float* x, size_t n, size_t dim,
                                          float* out) const {
   if (n == 0) return;

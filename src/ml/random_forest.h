@@ -64,13 +64,6 @@ class RandomForest : public RuntimeModel {
   /// dispatch lane and thread count.
   void PredictBatch(const float* x, size_t n, size_t dim,
                     float* out) const override;
-  /// Batch inference with the kernel's 8-bit affine-quantized split
-  /// thresholds: deterministic but approximate (each split threshold moves
-  /// by at most 1/510 of its feature's threshold range). The serving layer
-  /// only routes estimates through this path after the quantized/exact
-  /// holdout log1p-MAE delta passes ServeOptions::quantized_max_mae_delta.
-  void PredictBatchQuantized(const float* x, size_t n, size_t dim,
-                             float* out) const override;
   /// Reference implementation: the blocked per-DecisionTree walk the kernel
   /// replaced. Kept so tests and benches can assert the kernel's
   /// bit-equality and measure its speedup.

@@ -168,9 +168,8 @@ std::string ExportDecisionsJson(const std::vector<DecisionRecord>& records) {
     out += buf;
     std::snprintf(
         buf, sizeof(buf),
-        "\"quantized\": %s, \"platform\": %u, \"open_breakers\": %llu, "
+        "\"platform\": %u, \"open_breakers\": %llu, "
         "\"excluded_mask\": %llu, \"model_version\": %llu, ",
-        r.quantized_used ? "true" : "false",
         static_cast<unsigned>(r.chosen_platform),
         static_cast<unsigned long long>(r.open_breaker_mask),
         static_cast<unsigned long long>(r.excluded_platform_mask),

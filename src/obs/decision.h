@@ -64,7 +64,6 @@ struct DecisionRecord {
   ShedReason shed = ShedReason::kNone;
   DecisionCacheResult cache = DecisionCacheResult::kDisabled;
   uint8_t slo_health = 0;     ///< SloHealth at admission (0 = ok / no SLO).
-  bool quantized_used = false;
   uint8_t chosen_platform = 0;
   uint64_t open_breaker_mask = 0;      ///< Breakers open at call time.
   uint64_t excluded_platform_mask = 0; ///< Effective exclusion mask.

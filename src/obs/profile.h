@@ -56,8 +56,8 @@ struct OptimizePhaseMicros {
 
 /// Per-call optimizer profile, attached to OptimizeResult when
 /// ObsOptions::profile is set (all-zero otherwise). Everything here is also
-/// derivable from EnumerationStats + OracleCacheStats — the profile adds
-/// the per-phase timeline and the pruning split in one exportable struct.
+/// derivable from EnumerationStats — the profile adds the per-phase
+/// timeline and the pruning split in one exportable struct.
 struct OptimizeProfile {
   bool enabled = false;
   uint64_t trace_id = 0;  ///< Trace holding this call's span tree (0 = off).
@@ -72,9 +72,6 @@ struct OptimizeProfile {
   size_t switch_prune_rows_out = 0;
   size_t oracle_rows = 0;     ///< Rows sent to the cost oracle.
   size_t oracle_batches = 0;
-  size_t oracle_cache_hits = 0;    ///< Cross-batch memo hits.
-  size_t oracle_cache_dups = 0;    ///< Within-batch dedup folds.
-  size_t forest_rows_scored = 0;   ///< Unique rows that reached the model.
 };
 
 /// Per-operator slice of one execution.

@@ -13,8 +13,7 @@ void DriftStats::ExportTo(MetricsRegistry* registry) const {
 }
 
 uint64_t ModelRegistry::Publish(std::shared_ptr<RandomForest> forest,
-                                double holdout_mae,
-                                bool quantized_validated) {
+                                double holdout_mae) {
   ROBOPT_CHECK(forest != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t version = next_version_++;
@@ -25,7 +24,7 @@ uint64_t ModelRegistry::Publish(std::shared_ptr<RandomForest> forest,
   forest->set_meta(meta);
   auto snapshot = std::make_shared<const ModelSnapshot>(
       version, std::shared_ptr<const RandomForest>(std::move(forest)),
-      holdout_mae, quantized_validated);
+      holdout_mae);
   history_list_.push_back(snapshot);
   while (history_list_.size() > history_) history_list_.pop_front();
   // The swap itself: one atomic store. In-flight readers holding the old
@@ -60,10 +59,6 @@ PinnedOracle ModelRegistry::Acquire() const {
   // under an in-flight optimization even if the registry moves on.
   pinned.oracle =
       std::shared_ptr<const CostOracle>(snapshot, &snapshot->oracle());
-  if (snapshot->quantized_validated()) {
-    pinned.quantized_oracle = std::shared_ptr<const CostOracle>(
-        snapshot, &snapshot->quantized_oracle());
-  }
   pinned.version = snapshot->version();
   return pinned;
 }

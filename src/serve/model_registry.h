@@ -35,16 +35,11 @@ struct DriftStats {
 /// the optimize hot path).
 class ModelSnapshot {
  public:
-  /// `quantized_validated` records that the forest's 8-bit quantized
-  /// threshold tables passed the serving layer's holdout log1p-MAE bound —
-  /// only then does the snapshot expose its quantized oracle to callers.
   ModelSnapshot(uint64_t version, std::shared_ptr<const RandomForest> forest,
-                double holdout_mae, bool quantized_validated = false)
+                double holdout_mae)
       : version_(version),
         forest_(std::move(forest)),
         oracle_(forest_.get()),
-        quantized_oracle_(forest_.get(), /*quantized=*/true),
-        quantized_validated_(quantized_validated),
         holdout_mae_(holdout_mae) {}
 
   uint64_t version() const { return version_; }
@@ -53,11 +48,6 @@ class ModelSnapshot {
     return forest_;
   }
   const CostOracle& oracle() const { return oracle_; }
-  /// The same forest through its 8-bit quantized inference path. The
-  /// snapshot always owns one (the tables are built by ForestKernel::Build
-  /// either way); whether it may *serve* is quantized_validated().
-  const CostOracle& quantized_oracle() const { return quantized_oracle_; }
-  bool quantized_validated() const { return quantized_validated_; }
   /// Holdout MAE (log-space) at validation time; NaN for models published
   /// out-of-band without validation (PublishExternal).
   double holdout_mae() const { return holdout_mae_; }
@@ -81,8 +71,6 @@ class ModelSnapshot {
   const uint64_t version_;
   const std::shared_ptr<const RandomForest> forest_;
   const MlCostOracle oracle_;
-  const MlCostOracle quantized_oracle_;
-  const bool quantized_validated_;
   const double holdout_mae_;
   mutable std::mutex drift_mu_;
   mutable DriftStats drift_;
@@ -105,11 +93,8 @@ class ModelRegistry : public OracleProvider {
   /// Publishes `forest` as the next version (1, 2, ...) and returns that
   /// version. Stamps the forest's ModelMeta::version before the swap.
   /// `holdout_mae` records the validation error the promotion decision used
-  /// (NaN = published without validation). `quantized_validated` marks the
-  /// snapshot's quantized tables as cleared to serve (the caller measured
-  /// the quantized/exact holdout-error delta against its bound).
-  uint64_t Publish(std::shared_ptr<RandomForest> forest, double holdout_mae,
-                   bool quantized_validated = false);
+  /// (NaN = published without validation).
+  uint64_t Publish(std::shared_ptr<RandomForest> forest, double holdout_mae);
 
   /// The current snapshot (nullptr before the first Publish). Lock-free.
   std::shared_ptr<const ModelSnapshot> Current() const {

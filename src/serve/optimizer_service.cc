@@ -22,17 +22,11 @@ namespace {
 /// training optimize the same quantity. An empty set has no error to
 /// measure: NaN (the "unvalidated" marker PublishExternal also records),
 /// never 0.0 — a zero would make any comparison against it vacuously pass.
-double LogSpaceMae(const RuntimeModel& model, const MlDataset& data,
-                   bool quantized = false) {
+double LogSpaceMae(const RuntimeModel& model, const MlDataset& data) {
   if (data.size() == 0) return std::numeric_limits<double>::quiet_NaN();
   std::vector<float> pred(data.size());
-  if (quantized) {
-    model.PredictBatchQuantized(data.features().data(), data.size(),
-                                data.dim(), pred.data());
-  } else {
-    model.PredictBatch(data.features().data(), data.size(), data.dim(),
-                       pred.data());
-  }
+  model.PredictBatch(data.features().data(), data.size(), data.dim(),
+                     pred.data());
   double sum = 0.0;
   for (size_t i = 0; i < data.size(); ++i) {
     const double p = std::log1p(std::max(0.0, static_cast<double>(pred[i])));
@@ -41,23 +35,6 @@ double LogSpaceMae(const RuntimeModel& model, const MlDataset& data,
     sum += std::fabs(p - a);
   }
   return sum / static_cast<double>(data.size());
-}
-
-/// The quantized-serving gate: measures how much holdout log1p-MAE rises
-/// when the forest estimates through its 8-bit threshold tables instead of
-/// the exact ones, and passes only a measured delta within `max_delta`. An
-/// empty holdout cannot measure anything — the gate fails closed (exact
-/// serving), mirroring the promote_unvalidated philosophy: a bound that was
-/// never checked must never be treated as passed. `exact_mae` is the
-/// already-computed exact holdout MAE of the same forest.
-bool QuantizedGatePasses(const RandomForest& forest, const MlDataset& holdout,
-                         double exact_mae, double max_delta, double* delta) {
-  *delta = std::numeric_limits<double>::quiet_NaN();
-  if (holdout.size() == 0 || !forest.kernel().has_quantized()) return false;
-  const double quantized_mae =
-      LogSpaceMae(forest, holdout, /*quantized=*/true);
-  *delta = quantized_mae - exact_mae;
-  return *delta <= max_delta;
 }
 
 double AbsLogError(float predicted_s, double actual_s) {
@@ -168,10 +145,9 @@ DecisionCacheResult MapCacheResult(bool enabled, bool hit,
 
 /// One serving shard: a bounded FIFO admission queue whose admitted caller
 /// *becomes* the shard's executor (no cross-thread handoff), a PlanCache
-/// slice, and a pinned model handle with an optional long-lived oracle memo
-/// in front of it. Everything under "shard-local" is touched only while
-/// holding the queue's serving turn — the ticket chain's release/acquire
-/// ordering makes plain state safe without further locks.
+/// slice, and a pinned model handle. Everything under "shard-local" is
+/// touched only while holding the queue's serving turn — the ticket chain's
+/// release/acquire ordering makes plain state safe without further locks.
 struct OptimizerService::Shard {
   Shard(const PlatformRegistry* registry, const FeatureSchema* schema,
         uint64_t queue_capacity, size_t cache_capacity)
@@ -193,12 +169,6 @@ struct OptimizerService::Shard {
   RoboptOptimizer optimizer;
 
   // --- Shard-local (serving-turn only) ---
-  std::shared_ptr<const ModelSnapshot> snapshot;  ///< Pinned model.
-  uint64_t pinned_version = 0;
-  /// Long-lived memo in front of the pinned oracle (persists across calls
-  /// on this shard; rebuilt on re-pin). Null when the budget is 0.
-  std::unique_ptr<CachingCostOracle> memo_exact;
-  std::unique_ptr<CachingCostOracle> memo_quantized;
   /// Trip epoch this shard's serving turn last reconciled at.
   uint64_t seen_trip_epoch = 0;
 
@@ -317,14 +287,7 @@ StatusOr<std::unique_ptr<OptimizerService>> OptimizerService::Create(
     initial = std::move(forest);
   }
   const double mae = LogSpaceMae(*initial, service->holdout_);
-  bool quantized_ok = false;
-  if (service->options_.quantized_inference) {
-    double delta = 0.0;
-    quantized_ok = QuantizedGatePasses(
-        *initial, service->holdout_, mae,
-        service->options_.quantized_max_mae_delta, &delta);
-  }
-  service->models_.Publish(std::move(initial), mae, quantized_ok);
+  service->models_.Publish(std::move(initial), mae);
   if (service->options_.background_retrain) {
     service->worker_ = std::thread([s = service.get()] { s->WorkerLoop(); });
   }
@@ -498,7 +461,6 @@ StatusOr<OptimizerService::Result> OptimizerService::Optimize(
       record.cache =
           MapCacheResult(scratch.cache_enabled, result->cache_hit,
                          scratch.cache_untransferable, scratch.cache_cause);
-      record.quantized_used = opt.quantized_used;
       record.chosen_platform = static_cast<uint8_t>(opt.chosen_platform);
       record.model_version = opt.model_version;
       record.predicted_runtime_s = opt.predicted_runtime_s;
@@ -647,8 +609,11 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   // publish counter. A promotion anywhere is picked up on the next entry
   // into each shard — stale cache entries then die by their version tag
   // (PlanCache's lazy invalidation), so no shard ever stops the world.
-  if (shard.pinned_version != models_.published_version()) {
-    RepinShard(shard);
+  // The shard keeps the version it actually pinned, not the publish
+  // counter: if the counter ran ahead of the snapshot load, the mismatch
+  // re-pins on the next entry until they agree.
+  if (shard.provider.pinned.version != models_.published_version()) {
+    shard.provider.pinned = models_.Acquire();
   }
   // Breaker backstop: one epoch compare. OnExecutionFailure already
   // reconciled every shard eagerly; this catches trips fed straight into
@@ -662,21 +627,16 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   // Re-optimize-on-failure: mask every open-breaker platform out of the
   // enumeration on top of whatever the caller excluded. Half-open breakers
   // stay routable — the next query through them is the recovery probe. The
-  // mask is part of the cache key (HashOptions covers it), so plans cached
+  // mask is part of the cache key (PlanSearchOptions), so plans cached
   // while a platform was dead never serve after it recovers, and vice
   // versa.
   const uint64_t open_mask = health_.OpenMask();
   OptimizeOptions options = caller_options;
   options.excluded_platform_mask |= open_mask;
-  // Serve-level quantized default: when the service was configured for
-  // quantized inference, every call requests it. The optimizer only honors
-  // the request if the pinned model was published quantized-validated (the
-  // gate in RetrainNow/Create), so an unvalidated table never serves.
-  options.quantized_inference |= options_.quantized_inference;
   // Service observability: route this call's metrics and span tree into the
   // service-owned sinks, unless the caller brought their own (theirs win —
   // a call-level override must not be silently redirected). obs is not part
-  // of the cache key (HashOptions skips it), matching its bit-identical
+  // of the cache key (PlanSearchOptions skips it), matching its bit-identical
   // contract.
   if (options_.observability && !options.obs.enabled()) {
     options.obs.metrics = &metrics_;
@@ -702,7 +662,7 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   std::vector<std::pair<uint64_t, OperatorId>> canonical;
   std::vector<uint64_t> sorted_hashes;
   if (cache_on) {
-    key.options_hash = PlanCache::HashOptions(options);
+    key.options = PlanSearchOptions::Of(options);
     Canonicalize(node_hashes, &canonical, &sorted_hashes);
     PlanCache::Entry cached;
     PlanCacheMissCause cause = PlanCacheMissCause::kNone;
@@ -751,46 +711,6 @@ void OptimizerService::ReconcileTrips(Shard& shard) {
     std::lock_guard<std::mutex> lock(recovery_mu_);
     plans_invalidated_on_trip_ += dropped;
   }
-}
-
-void OptimizerService::RepinShard(Shard& shard) {
-  const auto snapshot = models_.Current();
-  PinnedOracle pinned;
-  shard.memo_exact.reset();
-  shard.memo_quantized.reset();
-  if (snapshot != nullptr) {
-    pinned.version = snapshot->version();
-    std::shared_ptr<const CostOracle> exact(snapshot, &snapshot->oracle());
-    if (options_.shard_oracle_cache_bytes > 0) {
-      shard.memo_exact = std::make_unique<CachingCostOracle>(
-          exact.get(), options_.shard_oracle_cache_bytes);
-      // Aliasing ptr: addresses the memo, owns the snapshot. The memo's
-      // raw inner pointer stays valid because shard.snapshot pins it.
-      pinned.oracle = std::shared_ptr<const CostOracle>(
-          snapshot, shard.memo_exact.get());
-    } else {
-      pinned.oracle = std::move(exact);
-    }
-    if (snapshot->quantized_validated()) {
-      std::shared_ptr<const CostOracle> quantized(
-          snapshot, &snapshot->quantized_oracle());
-      if (options_.shard_oracle_cache_bytes > 0) {
-        shard.memo_quantized = std::make_unique<CachingCostOracle>(
-            quantized.get(), options_.shard_oracle_cache_bytes);
-        pinned.quantized_oracle = std::shared_ptr<const CostOracle>(
-            snapshot, shard.memo_quantized.get());
-      } else {
-        pinned.quantized_oracle = std::move(quantized);
-      }
-    }
-  }
-  shard.snapshot = snapshot;
-  // Tag with the *snapshot's* version, not the publish counter: if the
-  // counter ran ahead of the snapshot load, the mismatch re-pins on the
-  // next entry until they agree — never the reverse (believing we hold a
-  // version we don't).
-  shard.pinned_version = snapshot == nullptr ? 0 : snapshot->version();
-  shard.provider.pinned = std::move(pinned);
 }
 
 size_t OptimizerService::RebalanceNow() {
@@ -957,18 +877,8 @@ StatusOr<RetrainOutcome> OptimizerService::RetrainNow(bool force) {
                 outcome.incumbent_mae * (1.0 + options_.promote_tolerance)
           : options_.promote_unvalidated;
   if (promote) {
-    std::shared_ptr<RandomForest> forest = std::move(candidate.value());
-    // The quantized gate rides on the same holdout: the promoted version
-    // serves quantized estimates only when the measured quantized/exact
-    // MAE delta stays within the bound (unmeasurable — empty holdout —
-    // fails closed to exact serving).
-    if (options_.quantized_inference) {
-      outcome.quantized_enabled = QuantizedGatePasses(
-          *forest, holdout, outcome.candidate_mae,
-          options_.quantized_max_mae_delta, &outcome.quantized_mae_delta);
-    }
-    outcome.version = models_.Publish(std::move(forest), outcome.candidate_mae,
-                                      outcome.quantized_enabled);
+    outcome.version = models_.Publish(std::move(candidate.value()),
+                                      outcome.candidate_mae);
     outcome.promoted = true;
     // No cache invalidation: every entry is version-tagged, each shard
     // re-pins on its next request entry, and stale entries die lazily on

@@ -81,9 +81,9 @@ class RequestObserver {
 
 /// Per-query decision diagnostics ("query explain"): every served call
 /// assembles a DecisionRecord — shard routed, cache hit/miss cause, shed
-/// reason, breaker/exclusion masks, model version, quantized use,
-/// enumeration/prune counts, predicted cost and the top-k runner-up plans —
-/// into a bounded lock-free recent-queries ring, exportable as JSON.
+/// reason, breaker/exclusion masks, model version, enumeration/prune
+/// counts, predicted cost and the top-k runner-up plans — into a bounded
+/// lock-free recent-queries ring, exportable as JSON.
 /// Served plans and every stat are bit-identical with diagnostics on or
 /// off (the runner-up selection reuses the final getOptimal cost batch).
 struct DiagnosticsOptions {
@@ -155,17 +155,6 @@ struct ServeOptions {
   /// Hyper-parameters of retrained candidate forests (also used when the
   /// service trains v1 itself).
   RandomForest::Params forest;
-  /// Request 8-bit quantized-threshold inference for served Optimize()
-  /// calls. Default off. Even when on, quantized mode is *gated*: each
-  /// published model's quantized/exact holdout log1p-MAE delta is measured,
-  /// and only a model within quantized_max_mae_delta is published
-  /// quantized-validated (RetrainOutcome::quantized_enabled reports the
-  /// decision). Models that fail the bound — and models published with an
-  /// empty holdout, where the delta cannot be measured — serve exact.
-  bool quantized_inference = false;
-  /// The bound: max allowed increase of holdout log1p-MAE when estimating
-  /// through the quantized tables instead of the exact thresholds.
-  double quantized_max_mae_delta = 0.01;
   /// Plan-cache entries (0 disables the cache).
   size_t plan_cache_capacity = 256;
   /// EWMA smoothing factor of the per-version drift stats.
@@ -197,8 +186,8 @@ struct ServeOptions {
   /// Number of independent serving shards, mirroring the num_threads
   /// convention: 0 (the default) resolves to one shard per hardware core,
   /// n is exactly n shards. There is one serving path for every n: each
-  /// shard owns its own PlanCache slice, pinned-model handle, oracle memo
-  /// budget and bounded admission queue, and a lock-free router hashes
+  /// shard owns its own PlanCache slice, pinned-model handle and bounded
+  /// admission queue, and a lock-free router hashes
   /// (tenant, canonical plan fingerprint) to a shard so repeat queries land
   /// on their warm cache. n = 1 is that path with one shard: one serving
   /// executor, so concurrent callers queue and may be shed past
@@ -218,10 +207,6 @@ struct ServeOptions {
   /// Router slot-table size (rounded up to a power of two). More slots =
   /// finer-grained migration; each slot is one atomic word.
   size_t router_slots = 256;
-  /// Per-shard oracle memo budget in bytes: a CachingCostOracle is kept in
-  /// front of the shard's pinned model, persisting across calls (rebuilt on
-  /// promotion). 0 disables it. Estimates are bit-identical either way.
-  size_t shard_oracle_cache_bytes = 0;
   /// Sustained-imbalance trigger of slot migration: the hottest shard must
   /// exceed rebalance_imbalance_factor times the per-shard average load for
   /// rebalance_min_checks consecutive observation windows (one window per
@@ -266,13 +251,6 @@ struct RetrainOutcome {
   double incumbent_mae = 0.0;  ///< Same holdout, current model.
   size_t holdout_rows = 0;
   size_t experience_rows = 0;  ///< Training log size at candidate time.
-  /// Quantized gate (only meaningful when promoted and
-  /// ServeOptions::quantized_inference is on): the measured holdout
-  /// log1p-MAE increase of quantized over exact inference, and whether it
-  /// passed quantized_max_mae_delta — i.e. whether the published version
-  /// serves quantized estimates.
-  double quantized_mae_delta = 0.0;
-  bool quantized_enabled = false;
 };
 
 /// Fault-recovery counters (the re-optimize-on-failure path).
@@ -361,10 +339,10 @@ struct ServeStats {
 ///     num_shards; a single shard is the same path with N = 1): a
 ///     lock-free ShardRouter hashes (tenant, canonical plan fingerprint) to
 ///     one shard, which owns a PlanCache slice serving repeat queries in
-///     O(plan size), a pinned-model handle, an oracle memo and a bounded
-///     admission queue with deadline-based shedding. Model promotions fan
-///     out through per-shard version checks on request entry (stale cache
-///     entries die by their version tag) — no stop-the-world. Breaker trips
+///     O(plan size), a pinned-model handle and a bounded admission queue
+///     with deadline-based shedding. Model promotions fan out through
+///     per-shard version checks on request entry (stale cache entries die
+///     by their version tag) — no stop-the-world. Breaker trips
 ///     reach every shard's cache eagerly from OnExecutionFailure, with a
 ///     per-shard trip-epoch check on request entry as the backstop. See
 ///     DESIGN.md, "Sharded serving & load shedding".
@@ -552,9 +530,6 @@ class OptimizerService : public ExecutionObserver {
   /// Seconds on the SLO clock (ServeSloOptions::clock, or the service's
   /// steady clock since construction).
   double SloNow() const;
-  /// Re-pins the shard's model handle (and rebuilds its oracle memo) to
-  /// the registry's current snapshot. Caller holds the shard's turn.
-  void RepinShard(Shard& shard);
 
   /// Moves queued feedback into drift stats, the holdout set and the
   /// experience log. Caller holds retrain_mu_.

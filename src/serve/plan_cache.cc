@@ -38,7 +38,21 @@ void PlanCacheStats::ExportTo(MetricsRegistry* registry) const {
                 static_cast<double>(migrated_out));
 }
 
+PlanSearchOptions PlanSearchOptions::Of(const OptimizeOptions& options) {
+  PlanSearchOptions search;
+  search.allowed_platform_mask = options.allowed_platform_mask;
+  search.excluded_platform_mask = options.excluded_platform_mask;
+  search.single_platform = options.single_platform;
+  search.priority = options.priority;
+  search.prune = options.prune;
+  return search;
+}
+
 uint64_t PlanCache::HashOptions(const OptimizeOptions& options) {
+  return HashOptions(PlanSearchOptions::Of(options));
+}
+
+uint64_t PlanCache::HashOptions(const PlanSearchOptions& options) {
   uint64_t h = options.allowed_platform_mask;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -47,9 +61,7 @@ uint64_t PlanCache::HashOptions(const OptimizeOptions& options) {
   mix(options.single_platform ? 1 : 0);
   mix(static_cast<uint64_t>(options.priority));
   mix(static_cast<uint64_t>(options.prune));
-  // Quantized estimates may pick a different plan than exact ones, so the
-  // two modes must never share a cache entry.
-  mix(options.quantized_inference ? 1 : 0);
+  mix(0);  // Retired quantized slot: keeps RBTRACE v1 options_hash stable.
   return h;
 }
 

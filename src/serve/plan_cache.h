@@ -14,20 +14,35 @@
 
 namespace robopt {
 
+/// The search-relevant slice of OptimizeOptions: every field that can
+/// change which plan the search picks. num_threads, obs and top_k_runners
+/// are deliberately absent: results are bit-identical across them by
+/// contract (see DESIGN.md, "Threading model & determinism").
+struct PlanSearchOptions {
+  uint64_t allowed_platform_mask = ~0ull;
+  uint64_t excluded_platform_mask = 0;
+  bool single_platform = false;
+  PriorityMode priority = PriorityMode::kPaper;
+  PruneMode prune = PruneMode::kBoundary;
+
+  static PlanSearchOptions Of(const OptimizeOptions& options);
+  bool operator==(const PlanSearchOptions&) const = default;
+};
+
 /// Key of one cached optimization: the canonical plan fingerprint, the
 /// injected cardinalities (0 when estimated — the estimate is a pure
 /// function of the fingerprinted plan), and the search-relevant optimize
-/// options. num_threads and oracle_cache_bytes are deliberately *not* part
-/// of the key: results are bit-identical across both by contract (see
-/// DESIGN.md, "Threading model & determinism").
+/// options. Equality compares the options field by field; their hash only
+/// picks the bucket, so two option sets that collide in the hash never
+/// share an entry.
 struct PlanCacheKey {
   PlanFingerprint plan;
   uint64_t cards_hash = 0;
-  uint64_t options_hash = 0;
+  PlanSearchOptions options;
 
   bool operator==(const PlanCacheKey& other) const {
     return plan == other.plan && cards_hash == other.cards_hash &&
-           options_hash == other.options_hash;
+           options == other.options;
   }
 };
 
@@ -112,8 +127,11 @@ class PlanCache {
   /// options hash and canonicalization (Lookup/Insert would only miss).
   bool enabled() const { return capacity_ > 0; }
 
-  /// The search-relevant slice of OptimizeOptions, hashed.
+  /// The search-relevant slice of OptimizeOptions, hashed. Trace records
+  /// and decision records carry this value; the cache itself uses it only
+  /// to pick a bucket.
   static uint64_t HashOptions(const OptimizeOptions& options);
+  static uint64_t HashOptions(const PlanSearchOptions& options);
 
   /// On hit under `current_version`, copies the entry into `out`, promotes
   /// it to most-recently-used and returns true. An entry tagged with any
@@ -179,7 +197,8 @@ class PlanCache {
       uint64_t h = key.plan.lo;
       h ^= key.plan.hi + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       h ^= key.cards_hash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h ^= key.options_hash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= HashOptions(key.options) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+           (h >> 2);
       return static_cast<size_t>(h);
     }
   };

@@ -216,6 +216,40 @@ TEST_F(ParallelDeterminismTest, OptimizerDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST_F(ParallelDeterminismTest,
+       ForestBackedOptimizerDeterministicAcrossThreadCounts) {
+  // Same contract with the real oracle flavor: an MlCostOracle over the
+  // flattened forest kernel.
+  MlDataset data(schema_.width());
+  Rng rng(31);
+  std::vector<float> row(schema_.width());
+  for (int i = 0; i < 256; ++i) {
+    for (float& cell : row) {
+      cell = static_cast<float>(rng.NextUniform(0, 100));
+    }
+    data.Add(row, static_cast<float>(rng.NextUniform(0, 1000)));
+  }
+  RandomForest::Params params;
+  params.num_trees = 12;
+  RandomForest forest(params);
+  ASSERT_TRUE(forest.Train(data).ok());
+  MlCostOracle oracle(&forest);
+  RoboptOptimizer optimizer(&registry_, &schema_, &oracle);
+  const LogicalPlan plan = MakeSyntheticPipeline(10, 1e6, 13);
+  OptimizeOptions serial_options;
+  serial_options.num_threads = 1;
+  auto serial = optimizer.Optimize(plan, nullptr, serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  OptimizeOptions options;
+  options.num_threads = 4;
+  auto parallel = optimizer.Optimize(plan, nullptr, options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (const LogicalOperator& op : plan.operators()) {
+    EXPECT_EQ(parallel->plan.alt_index(op.id), serial->plan.alt_index(op.id));
+  }
+  EXPECT_EQ(parallel->predicted_runtime_s, serial->predicted_runtime_s);
+}
+
 TEST_F(ParallelDeterminismTest, ForestBlockedKernelMatchesPerRowTraversal) {
   const size_t dim = 24;
   MlDataset data(dim);

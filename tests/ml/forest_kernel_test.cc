@@ -173,35 +173,6 @@ TEST(ForestKernelTest, NodeArraysAre64ByteAligned) {
   }
 }
 
-TEST(ForestKernelTest, QuantizedThresholdErrorWithinAffineBound) {
-  // Features are drawn from [0, 50], so every per-feature threshold range
-  // is at most 50 and the documented bound (hi - lo) / 510 caps the
-  // dequantization error at ~0.098.
-  const MlDataset data = MakeDataset(16, 300, 27);
-  const RandomForest forest = TrainForest(data, 10);
-  const ForestKernel& kernel = forest.kernel();
-  ASSERT_TRUE(kernel.has_quantized());
-  EXPECT_LE(kernel.QuantizationMaxAbsError(), 50.0f / 510.0f + 1e-6f);
-}
-
-TEST(ForestKernelTest, QuantizedPredictionsDeterministicAcrossThreads) {
-  const MlDataset data = MakeDataset(16, 300, 31);
-  const RandomForest forest = TrainForest(data, 10);
-  const ForestKernel& kernel = forest.kernel();
-  const size_t n = data.size();
-  const size_t dim = data.dim();
-  std::vector<float> canonical(n), got(n);
-  kernel.PredictBatch(data.features().data(), n, dim, canonical.data(),
-                      /*log_label=*/true, /*num_threads=*/1,
-                      /*quantized=*/true);
-  for (int threads : {2, 8}) {
-    kernel.PredictBatch(data.features().data(), n, dim, got.data(),
-                        /*log_label=*/true, threads, /*quantized=*/true);
-    EXPECT_EQ(std::memcmp(got.data(), canonical.data(), n * sizeof(float)), 0)
-        << threads << " threads";
-  }
-}
-
 TEST(ForestKernelTest, NaNRowsMatchReferenceBitForBit) {
   // NaN compares false against every threshold, so a NaN feature always
   // walks right — in the reference and in the kernel. The grouped SIMD path

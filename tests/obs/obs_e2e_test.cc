@@ -425,7 +425,7 @@ class ObsServeTest : public ::testing::Test {
   }
 
   /// Drives real traffic through every instrumented subsystem: optimizes
-  /// (cache miss + hit + oracle-cache run), executions with retries and
+  /// (cache miss + hit + a second miss), executions with retries and
   /// slowdowns feeding the service observer, one fault-layer failure, and a
   /// forced retrain cycle.
   static void DriveTraffic(OptimizerService* service) {
@@ -435,14 +435,11 @@ class ObsServeTest : public ::testing::Test {
     auto second = service->Optimize(plan);  // Plan-cache hit.
     ASSERT_TRUE(second.ok());
     EXPECT_TRUE(second->cache_hit);
-    // A different query (a plan-cache miss, so the optimizer really runs)
-    // with the per-call oracle cache on, to materialize the cache counters.
+    // A different query: a plan-cache miss, so the optimizer really runs.
     LogicalPlan q3 = MakeTpchQ3Plan(0.01);
-    OptimizeOptions cached;
-    cached.oracle_cache_bytes = 1 << 20;
-    auto third = service->Optimize(q3, nullptr, cached);
+    auto third = service->Optimize(q3);
     ASSERT_TRUE(third.ok());
-    ASSERT_GT(third->optimize.oracle_cache.rows, 0u);
+    EXPECT_FALSE(third->cache_hit);
 
     DataCatalog catalog;
     catalog.Bind(plan.SourceIds()[0], GenerateTextLines(1000, 1000, 5));
@@ -655,9 +652,6 @@ TEST_F(ObsServeTest, PrometheusEndpointCoversTheWholeMetricTable) {
       "robopt_optimize_oracle_rows_total",
       "robopt_optimize_oracle_batches_total",
       "robopt_optimize_latency_us",
-      "robopt_oracle_cache_hits_total",
-      "robopt_oracle_cache_dups_total",
-      "robopt_oracle_cache_unique_total",
       // Executor + fault layer (src/exec).
       "robopt_exec_calls_total",
       "robopt_exec_ops_total",

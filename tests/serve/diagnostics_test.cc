@@ -159,7 +159,6 @@ TEST_F(DiagnosticsTest, RecordsTellTheCacheAndRunnerUpStory) {
   EXPECT_GT(miss.vectors_created, 0u);
   EXPECT_GT(miss.oracle_rows, 0u);
   EXPECT_GT(miss.latency_us, 0.0);
-  EXPECT_FALSE(miss.quantized_used);
   EXPECT_EQ(miss.excluded_platform_mask, 0u);
   EXPECT_EQ(miss.open_breaker_mask, 0u);
 

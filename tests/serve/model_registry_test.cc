@@ -115,24 +115,5 @@ TEST(ModelRegistryTest, UnvalidatedPublishRecordsNanMae) {
   EXPECT_TRUE(std::isnan(registry.Current()->holdout_mae()));
 }
 
-TEST(ModelRegistryTest, QuantizedOracleExposedOnlyWhenValidated) {
-  ModelRegistry registry;
-  // Default publish: the quantized tables exist but were never validated
-  // against a holdout, so Acquire must not hand them out.
-  registry.Publish(TinyForest(3.0f), 0.0);
-  EXPECT_FALSE(registry.Current()->quantized_validated());
-  EXPECT_EQ(registry.Acquire().quantized_oracle, nullptr);
-
-  registry.Publish(TinyForest(3.0f, /*seed=*/2), 0.0,
-                   /*quantized_validated=*/true);
-  EXPECT_TRUE(registry.Current()->quantized_validated());
-  const PinnedOracle pinned = registry.Acquire();
-  ASSERT_NE(pinned.quantized_oracle, nullptr);
-  // The quantized oracle shares the pinned snapshot's forest; its estimate
-  // must track the exact oracle closely (1-D data, tiny threshold range).
-  EXPECT_NEAR(PredictVia(*pinned.quantized_oracle), PredictVia(*pinned.oracle),
-              0.25f);
-}
-
 }  // namespace
 }  // namespace robopt

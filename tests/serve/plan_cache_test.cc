@@ -45,7 +45,7 @@ TEST(PlanCacheTest, KeyDistinguishesCardsAndOptions) {
   PlanCacheKey other_cards = base;
   other_cards.cards_hash = 99;
   PlanCacheKey other_options = base;
-  other_options.options_hash = 99;
+  other_options.options.prune = PruneMode::kNone;
   PlanCache::Entry out;
   EXPECT_TRUE(cache.Lookup(base, 1, kHashes, &out));
   EXPECT_FALSE(cache.Lookup(other_cards, 1, kHashes, &out));
@@ -132,12 +132,68 @@ TEST(PlanCacheTest, HashOptionsCoversSearchRelevantFields) {
   prune.prune = PruneMode::kNone;
   EXPECT_NE(PlanCache::HashOptions(prune), h);
 
-  // num_threads and oracle_cache_bytes are documented as bit-identical
-  // knobs: they must NOT change the key, or repeat queries would miss.
+  // num_threads is documented as a bit-identical knob: it must NOT
+  // change the key, or repeat queries would miss.
   OptimizeOptions threads = base;
   threads.num_threads = 7;
-  threads.oracle_cache_bytes = 1 << 20;
   EXPECT_EQ(PlanCache::HashOptions(threads), h);
+}
+
+/// Two option sets whose HashOptions values collide (the hash_combine mix
+/// has structured collisions): A searches only platform 0, 1 or 3 as a
+/// single platform, B mixes platforms 3 and 4.
+OptimizeOptions CollidingA() {
+  OptimizeOptions a;
+  a.allowed_platform_mask = 0b01111;
+  a.excluded_platform_mask = 0b00100;
+  a.single_platform = true;
+  return a;
+}
+
+OptimizeOptions CollidingB() {
+  OptimizeOptions b;
+  b.allowed_platform_mask = 0b11100;
+  b.excluded_platform_mask = 0b00101;
+  return b;
+}
+
+TEST(PlanCacheTest, CollidingOptionHashesNeverShareAnEntry) {
+  ASSERT_EQ(PlanCache::HashOptions(CollidingA()),
+            PlanCache::HashOptions(CollidingB()));
+  PlanCache cache(4);
+  PlanCacheKey a = Key(1);
+  a.options = PlanSearchOptions::Of(CollidingA());
+  PlanCacheKey b = Key(1);
+  b.options = PlanSearchOptions::Of(CollidingB());
+  cache.Insert(a, Entry(1));
+  PlanCache::Entry out;
+  PlanCacheMissCause cause = PlanCacheMissCause::kNone;
+  EXPECT_FALSE(cache.Lookup(b, 1, kHashes, &out, &cause));
+  EXPECT_EQ(cause, PlanCacheMissCause::kCold);
+  EXPECT_TRUE(cache.Lookup(a, 1, kHashes, &out));
+}
+
+TEST(PlanCacheTest, HashOptionsValuesAreStable) {
+  // Recorded trace records carry these values (RBTRACE v1 options_hash),
+  // and replay counts a mismatch for every record whose hash moved.
+  OptimizeOptions masks;
+  masks.allowed_platform_mask = 0b11;
+  OptimizeOptions exhaustive;
+  exhaustive.prune = PruneMode::kNone;
+  OptimizeOptions switch_cap;
+  switch_cap.prune = PruneMode::kSwitchCap;
+  switch_cap.priority = PriorityMode::kTopDown;
+  OptimizeOptions bottom_up;
+  bottom_up.priority = PriorityMode::kBottomUp;
+  bottom_up.excluded_platform_mask = 0b1;
+  bottom_up.num_threads = 3;
+  EXPECT_EQ(PlanCache::HashOptions(OptimizeOptions{}), 0x4b7efa2d23c5d8a6ull);
+  EXPECT_EQ(PlanCache::HashOptions(masks), 0x822b05da617f1dacull);
+  EXPECT_EQ(PlanCache::HashOptions(CollidingA()), 0x822b05dc754bc25eull);
+  EXPECT_EQ(PlanCache::HashOptions(CollidingB()), 0x822b05dc754bc25eull);
+  EXPECT_EQ(PlanCache::HashOptions(exhaustive), 0x4b7efa2d23c5d8e7ull);
+  EXPECT_EQ(PlanCache::HashOptions(switch_cap), 0x4b7efa2d23c52d75ull);
+  EXPECT_EQ(PlanCache::HashOptions(bottom_up), 0x4b7efa2d20c3943eull);
 }
 
 }  // namespace

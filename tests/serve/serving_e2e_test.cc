@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
+#include "common/rng.h"
 #include "tdgen/tdgen.h"
 #include "workloads/datagen.h"
 #include "workloads/queries.h"
@@ -360,6 +363,61 @@ TEST_F(ServingE2eTest, CreateRejectsBadInputs) {
                                           std::move(forest), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ((*service)->registry().current_version(), 1u);
+}
+
+TEST(ServingOptionsKeyTest, CollidingOptionHashesServeTheirOwnPlans) {
+  // A and B hash to the same PlanCache::HashOptions value. B after A on the
+  // same plan must be a real miss that serves B's own plan: the one a
+  // direct optimizer over the pinned model picks for B.
+  const PlatformRegistry registry = PlatformRegistry::Default(5);
+  const FeatureSchema schema(&registry);
+  MlDataset data(schema.width());
+  Rng rng(5);
+  std::vector<float> row(schema.width());
+  for (int i = 0; i < 256; ++i) {
+    for (float& cell : row) {
+      cell = static_cast<float>(rng.NextUniform(0, 100));
+    }
+    data.Add(row, static_cast<float>(rng.NextUniform(0, 1000)));
+  }
+  RandomForest::Params params;
+  params.num_trees = 8;
+  auto forest = std::make_shared<RandomForest>(params);
+  ASSERT_TRUE(forest->Train(data).ok());
+  ServeOptions serve;
+  serve.background_retrain = false;
+  serve.num_shards = 1;
+  auto service = OptimizerService::Create(
+      &registry, &schema, MlDataset(schema.width()), forest, serve);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  OptimizeOptions a;
+  a.allowed_platform_mask = 0b01111;
+  a.excluded_platform_mask = 0b00100;
+  a.single_platform = true;
+  OptimizeOptions b;
+  b.allowed_platform_mask = 0b11100;
+  b.excluded_platform_mask = 0b00101;
+  ASSERT_EQ(PlanCache::HashOptions(a), PlanCache::HashOptions(b));
+
+  const RoboptOptimizer direct(&registry, &schema,
+                               &(*service)->registry().Current()->oracle());
+  for (const LogicalPlan& plan :
+       {MakeWordCountPlan(2.0), MakeTpchQ3Plan(2.0)}) {
+    ASSERT_TRUE((*service)->Optimize(plan, nullptr, a).ok());
+    auto served = (*service)->Optimize(plan, nullptr, b);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_FALSE(served->cache_hit);
+    auto expected = direct.Optimize(plan, nullptr, b);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint32_t>(served->optimize.predicted_runtime_s),
+              std::bit_cast<uint32_t>(expected->predicted_runtime_s));
+    for (const LogicalOperator& op : plan.operators()) {
+      EXPECT_EQ(served->optimize.plan.alt_index(op.id),
+                expected->plan.alt_index(op.id))
+          << "operator " << op.name;
+    }
+  }
 }
 
 }  // namespace
