@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/aligned_vector.h"
 #include "ml/decision_tree.h"
 
 namespace robopt {
@@ -15,27 +14,15 @@ namespace robopt {
 /// `right`/`value` arrays plus per-tree root offsets. Child indices are
 /// absolute pool indices, so batch inference is an iterative block-major
 /// walk over five dense arrays instead of 60 per-tree traversals of 60
-/// separately allocated node vectors per row. Every SoA array starts on a
-/// 64-byte boundary (AlignedVector), so vector loads never split a cache
-/// line.
+/// separately allocated node vectors per row.
 ///
-/// Exact mode is a pure data-layout + scheduling change: traversal
+/// Flattening is a pure data-layout + scheduling change: traversal
 /// decisions, leaf values and accumulation order match the per-tree
 /// reference path (RandomForest::PredictBatchReference) exactly, so
 /// predictions are bit-identical to it for every thread count and every
-/// SIMD dispatch lane (see DESIGN.md, "SIMD inference").
-///
-/// On a non-scalar lane, PredictBatch runs the extrema-speculation kernel:
-/// a SIMD pass computes per-feature min/max summaries of each 16-row group,
-/// and one *scalar* walk then descends for the whole group at once —
-/// max[f] <= t proves every row goes left, min[f] > t proves every row goes
-/// right. Enumeration rows are near-duplicates (neighbors differ in a few
-/// one-hot cells), so ~97% of (group, tree) walks never diverge; a group
-/// that straddles a split falls back to per-row walks from that node. The
-/// design is gather-free: the only SIMD is sequential-streaming min/max,
-/// and the traversal itself stays scalar compares — which is also why it is
-/// bit-stable (min/max and compares are exact; NaN-carrying groups are
-/// detected in the summary pass and walked per-row).
+/// SIMD dispatch lane. The walk itself is plain scalar C++ on every lane;
+/// the lanes only speed up Concat and PruneBoundary (see DESIGN.md,
+/// "Forest kernel").
 class ForestKernel {
  public:
   /// Rows per inference block. Fixed (never derived from the thread count)
@@ -43,12 +30,6 @@ class ForestKernel {
   /// identical for every num_threads. 64 rows of accumulators stay resident
   /// in L1 while the node arrays are walked for the whole block.
   static constexpr size_t kRowBlock = 64;
-
-  /// Rows per extrema-speculation group (kRowBlock is a multiple). 16 rows
-  /// keeps the min/max summary pass cheap relative to the walks it saves
-  /// while amortizing each non-diverging walk over 16 rows; measured on the
-  /// enumeration workload, groups of 16 diverge on only ~3% of walks.
-  static constexpr size_t kGroupRows = 16;
 
   ForestKernel() = default;
 
@@ -63,24 +44,10 @@ class ForestKernel {
   size_t num_nodes() const { return feature_.size(); }
   bool empty() const { return roots_.empty(); }
 
-  /// 1 + the largest feature index any split tests (0 for a kernel with no
-  /// splits). Batches narrower than this take a guarded scalar path that
-  /// reads missing features as 0, exactly like the reference.
-  size_t num_features() const {
-    return max_feature_ < 0 ? 0 : static_cast<size_t>(max_feature_) + 1;
-  }
-
-  /// Test hook: every SoA node array starts on a 64-byte boundary (the
-  /// AlignedVector guarantee the SIMD lanes rely on).
-  bool node_arrays_aligned() const {
-    return IsAligned(feature_.data()) && IsAligned(threshold_.data()) &&
-           IsAligned(left_.data()) && IsAligned(right_.data()) &&
-           IsAligned(value_.data());
-  }
-
   /// Mean prediction over all trees for `n` rows of `dim` floats; with
   /// `log_label` the mean is mapped back through expm1 and clamped at 0,
-  /// exactly as RandomForest does. `num_threads`: 0 = hardware concurrency,
+  /// exactly as RandomForest does. A split on a feature index >= `dim`
+  /// reads 0, like the reference. `num_threads`: 0 = hardware concurrency,
   /// 1 = serial. Results are bit-identical to the reference for every
   /// thread count and dispatch lane. An empty kernel predicts all zeros.
   void PredictBatch(const float* x, size_t n, size_t dim, float* out,
@@ -99,13 +66,12 @@ class ForestKernel {
   static uint64_t TotalBatches();
 
  private:
-  AlignedVector<int32_t> roots_;    ///< Pool index of each tree's root.
-  AlignedVector<int32_t> feature_;  ///< < 0 marks a leaf.
-  AlignedVector<float> threshold_;
-  AlignedVector<int32_t> left_;     ///< Absolute pool index of the <= child.
-  AlignedVector<int32_t> right_;    ///< Absolute pool index of the > child.
-  AlignedVector<float> value_;      ///< Leaf prediction.
-  int32_t max_feature_ = -1;        ///< Largest split feature (-1: none).
+  std::vector<int32_t> roots_;    ///< Pool index of each tree's root.
+  std::vector<int32_t> feature_;  ///< < 0 marks a leaf.
+  std::vector<float> threshold_;
+  std::vector<int32_t> left_;     ///< Absolute pool index of the <= child.
+  std::vector<int32_t> right_;    ///< Absolute pool index of the > child.
+  std::vector<float> value_;      ///< Leaf prediction.
 };
 
 }  // namespace robopt

@@ -15,46 +15,6 @@ namespace robopt {
 namespace simd {
 namespace {
 
-// Per-feature extrema across the row group, streaming row-major: each row is
-// one contiguous load sequence (hardware-prefetch friendly), accumulated
-// into per-feature min/max registers. vminps/vmaxps silently drop NaNs
-// (they return the second operand when either is NaN), so NaN presence is
-// tracked separately with unordered self-compares OR-ed across every load —
-// a group with any NaN reports it and the caller ignores the summaries.
-bool Avx2MinMaxGroupF32(const float* rows, size_t w, size_t dim, float* minv,
-                        float* maxv) {
-  __m256 nan_acc = _mm256_setzero_ps();
-  size_t f = 0;
-  for (; f + 8 <= dim; f += 8) {
-    __m256 mn = _mm256_loadu_ps(rows + f);
-    __m256 mx = mn;
-    nan_acc = _mm256_or_ps(nan_acc, _mm256_cmp_ps(mn, mn, _CMP_UNORD_Q));
-    for (size_t i = 1; i < w; ++i) {
-      const __m256 v = _mm256_loadu_ps(rows + i * dim + f);
-      mn = _mm256_min_ps(mn, v);
-      mx = _mm256_max_ps(mx, v);
-      nan_acc = _mm256_or_ps(nan_acc, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    }
-    _mm256_storeu_ps(minv + f, mn);
-    _mm256_storeu_ps(maxv + f, mx);
-  }
-  bool has_nan = _mm256_movemask_ps(nan_acc) != 0;
-  for (; f < dim; ++f) {
-    float mn = rows[f];
-    float mx = mn;
-    has_nan |= mn != mn;
-    for (size_t i = 1; i < w; ++i) {
-      const float v = rows[i * dim + f];
-      mn = v < mn ? v : mn;
-      mx = v > mx ? v : mx;
-      has_nan |= v != v;
-    }
-    minv[f] = mn;
-    maxv[f] = mx;
-  }
-  return has_nan;
-}
-
 void Avx2AddRowsF32(float* dst, const float* a, const float* b, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -96,7 +56,6 @@ size_t Avx2FindU64(const uint64_t* keys, size_t n, uint64_t key) {
 }  // namespace
 
 const OpsTable kAvx2Ops = {
-    Avx2MinMaxGroupF32,
     Avx2AddRowsF32,
     Avx2OrBytes,
     Avx2FindU64,

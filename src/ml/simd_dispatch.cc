@@ -8,25 +8,6 @@ namespace robopt {
 namespace simd {
 namespace {
 
-bool ScalarMinMaxGroupF32(const float* rows, size_t w, size_t dim,
-                          float* minv, float* maxv) {
-  bool has_nan = false;
-  for (size_t f = 0; f < dim; ++f) {
-    float mn = rows[f];
-    float mx = mn;
-    has_nan |= mn != mn;
-    for (size_t i = 1; i < w; ++i) {
-      const float v = rows[i * dim + f];
-      mn = v < mn ? v : mn;
-      mx = v > mx ? v : mx;
-      has_nan |= v != v;
-    }
-    minv[f] = mn;
-    maxv[f] = mx;
-  }
-  return has_nan;
-}
-
 void ScalarAddRowsF32(float* dst, const float* a, const float* b, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] = a[i] + b[i];
 }
@@ -130,7 +111,6 @@ const Resolved* ResolveOnce() {
 }  // namespace
 
 const OpsTable kScalarOps = {
-    ScalarMinMaxGroupF32,
     ScalarAddRowsF32,
     ScalarOrBytes,
     ScalarFindU64,

@@ -7,10 +7,11 @@
 namespace robopt {
 namespace simd {
 
-/// The instruction-set lanes the hot inner loops can run on. Exactly one is
-/// active per process; every lane computes bit-identical results for the
-/// exact primitives below (min/max, add, or, compare are exact in IEEE-754
-/// and integer arithmetic), so lane selection is a pure speed choice.
+/// The instruction-set lanes the Concat/PruneBoundary inner loops can run
+/// on. Exactly one is active per process; every lane computes bit-identical
+/// results for the primitives below (an element-wise float add, a byte OR
+/// and an integer compare round the same way on every lane), so lane
+/// selection is a pure speed choice.
 enum class Lane {
   kScalar = 0,  ///< Portable C++ — always compiled, always correct.
   kAvx2 = 1,    ///< x86-64 with AVX2 (checked at runtime via cpuid).
@@ -36,14 +37,6 @@ void ForceLaneForTest(Lane lane);
 /// The function-pointer table of one lane. Resolved once by ActiveLane();
 /// callers grab it via Ops() and call through it in their inner loops.
 struct OpsTable {
-  /// Per-feature extrema of a row group: for each feature f in [0, dim),
-  /// minv[f]/maxv[f] = min/max of rows[i * dim + f] over i in [0, w).
-  /// Returns true when any scanned value is NaN — the caller must then
-  /// treat the summaries as unusable and fall back to per-row logic
-  /// (vector min/max would silently drop NaNs, so the flag is accumulated
-  /// via unordered compares alongside them).
-  bool (*min_max_group_f32)(const float* rows, size_t w, size_t dim,
-                            float* minv, float* maxv);
   /// dst[i] = a[i] + b[i] — the Concat feature-row merge.
   void (*add_rows_f32)(float* dst, const float* a, const float* b, size_t n);
   /// dst[i] = a[i] | b[i] — the Concat assignment-row merge.

@@ -12,43 +12,6 @@ namespace robopt {
 namespace simd {
 namespace {
 
-// Same structure as the AVX2 lane, 4 floats per vector. vminq/vmaxq drop
-// NaNs like their x86 cousins, so NaN presence is accumulated separately
-// with unordered self-compares (vceqq on a NaN lane yields 0).
-bool NeonMinMaxGroupF32(const float* rows, size_t w, size_t dim, float* minv,
-                        float* maxv) {
-  uint32x4_t nan_acc = vdupq_n_u32(0);
-  size_t f = 0;
-  for (; f + 4 <= dim; f += 4) {
-    float32x4_t mn = vld1q_f32(rows + f);
-    float32x4_t mx = mn;
-    nan_acc = vorrq_u32(nan_acc, vmvnq_u32(vceqq_f32(mn, mn)));
-    for (size_t i = 1; i < w; ++i) {
-      const float32x4_t v = vld1q_f32(rows + i * dim + f);
-      mn = vminq_f32(mn, v);
-      mx = vmaxq_f32(mx, v);
-      nan_acc = vorrq_u32(nan_acc, vmvnq_u32(vceqq_f32(v, v)));
-    }
-    vst1q_f32(minv + f, mn);
-    vst1q_f32(maxv + f, mx);
-  }
-  bool has_nan = vmaxvq_u32(nan_acc) != 0;
-  for (; f < dim; ++f) {
-    float mn = rows[f];
-    float mx = mn;
-    has_nan |= mn != mn;
-    for (size_t i = 1; i < w; ++i) {
-      const float v = rows[i * dim + f];
-      mn = v < mn ? v : mn;
-      mx = v > mx ? v : mx;
-      has_nan |= v != v;
-    }
-    minv[f] = mn;
-    maxv[f] = mx;
-  }
-  return has_nan;
-}
-
 void NeonAddRowsF32(float* dst, const float* a, const float* b, size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -82,7 +45,6 @@ size_t NeonFindU64(const uint64_t* keys, size_t n, uint64_t key) {
 }  // namespace
 
 const OpsTable kNeonOps = {
-    NeonMinMaxGroupF32,
     NeonAddRowsF32,
     NeonOrBytes,
     NeonFindU64,
