@@ -59,14 +59,6 @@ uint64_t MixNeighbors(uint64_t h, const std::vector<OperatorId>& neighbors,
   return h;
 }
 
-/// Combines a sorted copy of per-operator hashes under a seed.
-uint64_t CombineSorted(std::vector<uint64_t> hashes, uint64_t seed) {
-  std::sort(hashes.begin(), hashes.end());
-  uint64_t h = SplitMix(seed);
-  for (const uint64_t v : hashes) h = Mix(h, v);
-  return h;
-}
-
 }  // namespace
 
 std::string PlanFingerprint::ToString() const {
@@ -80,47 +72,62 @@ std::string PlanFingerprint::ToString() const {
 }
 
 PlanFingerprint FingerprintPlan(const LogicalPlan& plan) {
-  return FingerprintPlan(plan, nullptr);
+  CanonicalOrder canonical;
+  return FingerprintPlan(plan, &canonical);
 }
 
 PlanFingerprint FingerprintPlan(const LogicalPlan& plan,
-                                std::vector<uint64_t>* node_hashes) {
+                                CanonicalOrder* canonical) {
   const int n = plan.num_operators();
   const std::vector<OperatorId> order = plan.TopologicalOrder();
 
-  // Forward pass: each operator over its local fields + parent hashes.
-  std::vector<uint64_t> up(n, 0);
+  // Forward pass: each operator over its local fields + parent hashes. The
+  // local hash also seeds the backward pass, so it is kept in `down`.
+  std::vector<uint64_t> up(n, 0), down(n, 0);
   for (const OperatorId id : order) {
-    uint64_t h = LocalHash(plan.op(id));
-    h = MixNeighbors(h, plan.parents(id), up, /*tag=*/1);
+    const LogicalOperator& op = plan.op(id);
+    down[id] = LocalHash(op);
+    uint64_t h = MixNeighbors(down[id], plan.parents(id), up, /*tag=*/1);
     h = MixNeighbors(h, plan.side_parents(id), up, /*tag=*/2);
     // LoopEnd's pairing edge, so distinct loops cannot be confused even if
     // their bodies hash alike.
-    const LogicalOperator& op = plan.op(id);
     if (op.loop_begin != kInvalidOperatorId) h = Mix(h, up[op.loop_begin]);
     up[id] = h;
   }
 
   // Backward pass: each operator over its children hashes, so a node's
-  // value also encodes how its output is consumed downstream.
-  std::vector<uint64_t> down(n, 0);
+  // value also encodes how its output is consumed downstream. Children come
+  // later in `order`, so their slots already hold their final values.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const OperatorId id = *it;
-    uint64_t h = LocalHash(plan.op(id));
-    h = MixNeighbors(h, plan.children(id), down, /*tag=*/3);
-    h = MixNeighbors(h, plan.side_children(id), down, /*tag=*/4);
-    down[id] = h;
+    uint64_t h = MixNeighbors(down[id], plan.children(id), down, /*tag=*/3);
+    down[id] = MixNeighbors(h, plan.side_children(id), down, /*tag=*/4);
   }
 
-  std::vector<uint64_t> combined(n);
-  for (int i = 0; i < n; ++i) combined[i] = Mix(up[i], down[i]);
-  if (node_hashes != nullptr) *node_hashes = combined;
+  // Combined per-node hashes (in `up`), sorted once by (hash, id); both
+  // lanes fold the same sorted sequence under different seeds.
+  for (int i = 0; i < n; ++i) up[i] = Mix(up[i], down[i]);
+  std::vector<OperatorId>& ids = canonical->ids;
+  ids.resize(n);
+  for (int i = 0; i < n; ++i) ids[i] = static_cast<OperatorId>(i);
+  std::sort(ids.begin(), ids.end(), [&up](OperatorId a, OperatorId b) {
+    return up[a] != up[b] ? up[a] < up[b] : a < b;
+  });
+  canonical->hashes.resize(n);
+  uint64_t lo = SplitMix(0x6c6f5f6c616e6531ULL);
+  uint64_t hi = SplitMix(0x68695f6c616e6532ULL);
+  for (int i = 0; i < n; ++i) {
+    const uint64_t v = up[ids[i]];
+    canonical->hashes[i] = v;
+    // Mix(h, v) for both lanes, sharing the SplitMix of v.
+    const uint64_t mixed = SplitMix(v);
+    lo = SplitMix(lo ^ mixed);
+    hi = SplitMix(hi ^ mixed);
+  }
 
   PlanFingerprint fp;
-  fp.lo = Mix(CombineSorted(combined, 0x6c6f5f6c616e6531ULL),
-              static_cast<uint64_t>(n));
-  fp.hi = Mix(CombineSorted(std::move(combined), 0x68695f6c616e6532ULL),
-              static_cast<uint64_t>(n));
+  fp.lo = Mix(lo, static_cast<uint64_t>(n));
+  fp.hi = Mix(hi, static_cast<uint64_t>(n));
   return fp;
 }
 

@@ -30,27 +30,32 @@ struct PlanFingerprint {
   std::string ToString() const;
 };
 
-/// Computes the canonical fingerprint. Each operator receives a Merkle-style
-/// hash over its local fields plus its parents' hashes (positional: a Join's
-/// build and probe side keep their roles) in a forward pass, and over its
-/// children's hashes in a backward pass, so every node's value encodes both
-/// its full ancestry and its full downstream use. The plan fingerprint
-/// combines the *sorted* per-operator hashes, which is what makes it
-/// insertion-order independent.
+/// A plan's operators in canonical order: per-node hashes sorted ascending,
+/// ties broken by id, and `ids[i]` the operator whose hash is `hashes[i]`.
+/// Operator ids are insertion-order artifacts, but two builds of the same
+/// dataflow have equal `hashes`: position i is the correspondence between
+/// their id spaces. Per-operator decisions cached under the fingerprint
+/// (the serving plan cache) transfer through it, never by raw id. Equal
+/// hashes mark structurally interchangeable operators, so any pairing
+/// within a tie group is valid.
+struct CanonicalOrder {
+  std::vector<uint64_t> hashes;
+  std::vector<OperatorId> ids;
+};
+
+/// Computes the canonical fingerprint. Each operator's local fields are
+/// hashed once; a forward pass extends that hash over its parents' hashes
+/// (positional: a Join's build and probe side keep their roles) and a
+/// backward pass over its children's, so every node's combined value
+/// encodes both its full ancestry and its full downstream use. The plan
+/// fingerprint folds the combined per-node hashes in sorted order, which is
+/// what makes it insertion-order independent.
 PlanFingerprint FingerprintPlan(const LogicalPlan& plan);
 
-/// As above, and additionally writes each operator's canonical per-node hash
-/// (the combined up/down Merkle value) into `node_hashes`, indexed by
-/// operator id. Operator ids are insertion-order artifacts, so two builds of
-/// the same dataflow can number the same operator differently — but their
-/// node-hash *multisets* are equal, and sorting establishes the canonical
-/// correspondence between the two id spaces. Consumers that cache per-
-/// operator decisions under the fingerprint (the serving plan cache) must
-/// transfer them through this correspondence, never by raw id. Operators
-/// with equal node hashes are structurally interchangeable, so any pairing
-/// within such a tie group is valid.
+/// As above, and additionally returns the canonical order the fingerprint
+/// folded, so callers need no sort of their own.
 PlanFingerprint FingerprintPlan(const LogicalPlan& plan,
-                                std::vector<uint64_t>* node_hashes);
+                                CanonicalOrder* canonical);
 
 /// Order-sensitive 64-bit hash of injected cardinalities (per-operator
 /// input/output tuple counts). Combined with the plan fingerprint when a

@@ -135,24 +135,22 @@ std::vector<OperatorId> LogicalPlan::SinkIds() const {
 }
 
 std::vector<OperatorId> LogicalPlan::TopologicalOrder() const {
+  // Kahn's algorithm, with `order` itself as the FIFO queue.
   std::vector<int> pending(ops_.size());
-  std::deque<OperatorId> ready;
+  std::vector<OperatorId> order;
+  order.reserve(ops_.size());
   for (const LogicalOperator& op : ops_) {
     pending[op.id] = static_cast<int>(parents_[op.id].size() +
                                       side_parents_[op.id].size());
-    if (pending[op.id] == 0) ready.push_back(op.id);
+    if (pending[op.id] == 0) order.push_back(op.id);
   }
-  std::vector<OperatorId> order;
-  order.reserve(ops_.size());
-  while (!ready.empty()) {
-    OperatorId id = ready.front();
-    ready.pop_front();
-    order.push_back(id);
+  for (size_t head = 0; head < order.size(); ++head) {
+    const OperatorId id = order[head];
     for (OperatorId child : children_[id]) {
-      if (--pending[child] == 0) ready.push_back(child);
+      if (--pending[child] == 0) order.push_back(child);
     }
     for (OperatorId child : side_children_[id]) {
-      if (--pending[child] == 0) ready.push_back(child);
+      if (--pending[child] == 0) order.push_back(child);
     }
   }
   return order;

@@ -43,40 +43,22 @@ double AbsLogError(float predicted_s, double actual_s) {
   return std::fabs(p - a);
 }
 
-/// Canonical correspondence between a plan instance's insertion-order ids
-/// and the order-independent fingerprint: per-operator Merkle hashes paired
-/// with ids, sorted. Cached assignments transfer through this order, never
-/// by raw id — fingerprint-equal plans may number the same operator
-/// differently (ties are structurally interchangeable operators, so the
-/// sorted pairing is valid for them too).
-void Canonicalize(const std::vector<uint64_t>& node_hashes,
-                  std::vector<std::pair<uint64_t, OperatorId>>* canonical,
-                  std::vector<uint64_t>* sorted_hashes) {
-  canonical->reserve(node_hashes.size());
-  for (size_t id = 0; id < node_hashes.size(); ++id) {
-    canonical->emplace_back(node_hashes[id], static_cast<OperatorId>(id));
-  }
-  std::sort(canonical->begin(), canonical->end());
-  sorted_hashes->reserve(canonical->size());
-  for (const auto& pair : *canonical) sorted_hashes->push_back(pair.first);
-}
-
-/// Replays a cache hit onto the caller's plan. Lookup verified the hash
-/// sequences match positionally, so the i-th cached alt belongs to the
-/// operator behind canonical[i]. The alt range could still disagree on a
-/// same-hash collision across operator kinds — checked per operator,
+/// Replays a cache hit onto the caller's plan, never by raw id: Lookup
+/// verified the hash sequences match positionally, so the i-th cached alt
+/// belongs to operator canonical.ids[i]. The alt range could still disagree
+/// on a same-hash collision across operator kinds — checked per operator,
 /// returning false for a full re-optimize rather than tripping the
 /// ROBOPT_CHECK in ExecutionPlan::Assign.
 bool TransferCached(const PlanCache::Entry& cached,
-                    const std::vector<std::pair<uint64_t, OperatorId>>& canonical,
-                    const LogicalPlan& plan, const PlatformRegistry* registry,
+                    const CanonicalOrder& canonical, const LogicalPlan& plan,
+                    const PlatformRegistry* registry,
                     std::chrono::steady_clock::time_point start,
                     OptimizerService::Result* result) {
   result->cache_hit = true;
   result->optimize.plan = ExecutionPlan(&plan, registry);
-  bool transferable = cached.assignment.size() == canonical.size();
-  for (size_t i = 0; i < canonical.size() && transferable; ++i) {
-    const OperatorId id = canonical[i].second;
+  bool transferable = cached.assignment.size() == canonical.ids.size();
+  for (size_t i = 0; i < canonical.ids.size() && transferable; ++i) {
+    const OperatorId id = canonical.ids[i];
     const int alt = cached.assignment[i].second;
     if (alt < 0) continue;
     const auto& alts = registry->AlternativesFor(plan.op(id).kind);
@@ -96,16 +78,15 @@ bool TransferCached(const PlanCache::Entry& cached,
   return true;
 }
 
-PlanCache::Entry MakeCacheEntry(
-    const OptimizerService::Result& result,
-    const std::vector<std::pair<uint64_t, OperatorId>>& canonical,
-    uint32_t slot) {
+PlanCache::Entry MakeCacheEntry(const OptimizerService::Result& result,
+                                const CanonicalOrder& canonical,
+                                uint32_t slot) {
   PlanCache::Entry entry;
-  entry.assignment.reserve(canonical.size());
-  for (const auto& pair : canonical) {
-    entry.assignment.emplace_back(
-        pair.first,
-        static_cast<int16_t>(result.optimize.plan.alt_index(pair.second)));
+  entry.assignment.reserve(canonical.ids.size());
+  for (size_t i = 0; i < canonical.ids.size(); ++i) {
+    const int alt = result.optimize.plan.alt_index(canonical.ids[i]);
+    entry.assignment.emplace_back(canonical.hashes[i],
+                                  static_cast<int16_t>(alt));
   }
   // Canonical form sorts ties by alt as well, so equal-hash operators
   // store and replay their alts in one deterministic order.
@@ -496,10 +477,11 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
     const OptimizeOptions& caller_options, const RequestContext& ctx,
     std::chrono::steady_clock::time_point start, DecisionScratch* scratch) {
   // Fingerprint before admission: the canonical fingerprint is the routing
-  // key (and double-duties as the cache key inside the shard).
-  std::vector<uint64_t> node_hashes;
+  // key (and double-duties as the cache key inside the shard); its canonical
+  // order maps cached alts onto this plan's ids.
+  CanonicalOrder canonical;
   PlanCacheKey key;
-  key.plan = FingerprintPlan(plan, &node_hashes);
+  key.plan = FingerprintPlan(plan, &canonical);
   scratch->fp = key.plan;
   key.cards_hash = cards == nullptr ? 0 : FingerprintCards(*cards);
   uint32_t slot = 0;
@@ -583,7 +565,7 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
   // ---- Serving turn: this thread is the shard's executor until Leave().
   const auto serve_start = std::chrono::steady_clock::now();
   auto result =
-      RunOnShard(shard, slot, plan, cards, caller_options, key, node_hashes,
+      RunOnShard(shard, slot, plan, cards, caller_options, key, canonical,
                  start, scratch);
   const double service_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -602,8 +584,7 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeSharded(
 StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
     Shard& shard, uint32_t slot, const LogicalPlan& plan,
     const Cardinalities* cards, const OptimizeOptions& caller_options,
-    const PlanCacheKey& route_key,
-    const std::vector<uint64_t>& node_hashes,
+    const PlanCacheKey& route_key, const CanonicalOrder& canonical,
     std::chrono::steady_clock::time_point start, DecisionScratch* scratch) {
   // Promotion fan-out: one relaxed uint64 compare against the registry's
   // publish counter. A promotion anywhere is picked up on the next entry
@@ -659,15 +640,12 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   const bool cache_on = shard.cache.enabled();
   scratch->cache_enabled = cache_on;
   PlanCacheKey key = route_key;
-  std::vector<std::pair<uint64_t, OperatorId>> canonical;
-  std::vector<uint64_t> sorted_hashes;
   if (cache_on) {
     key.options = PlanSearchOptions::Of(options);
-    Canonicalize(node_hashes, &canonical, &sorted_hashes);
     PlanCache::Entry cached;
     PlanCacheMissCause cause = PlanCacheMissCause::kNone;
-    if (shard.cache.Lookup(key, shard.provider.pinned.version, sorted_hashes,
-                           &cached, &cause)) {
+    if (shard.cache.Lookup(key, shard.provider.pinned.version,
+                           canonical.hashes, &cached, &cause)) {
       Result result;
       if (TransferCached(cached, canonical, plan, registry_, start,
                          &result)) {

@@ -524,7 +524,7 @@ class OptimizerService : public ExecutionObserver {
                               const Cardinalities* cards,
                               const OptimizeOptions& caller_options,
                               const PlanCacheKey& route_key,
-                              const std::vector<uint64_t>& node_hashes,
+                              const CanonicalOrder& canonical,
                               std::chrono::steady_clock::time_point start,
                               DecisionScratch* scratch);
   /// Seconds on the SLO clock (ServeSloOptions::clock, or the service's

@@ -91,11 +91,12 @@ struct PlanCacheStats {
 /// assignment is therefore stored in *canonical* form — (node hash, alt)
 /// pairs sorted ascending, where the node hash is the per-operator Merkle
 /// value from FingerprintPlan — and a lookup hands back the canonical
-/// sequence for the caller to remap onto its own ids through the same
-/// sorted order. A hit additionally verifies the caller's sorted node-hash
-/// sequence against the entry's; a mismatch (a 128-bit fingerprint
-/// collision between structurally different plans) drops the entry and
-/// counts as a miss, never as a wrong plan.
+/// sequence for the caller to remap onto its own ids through the
+/// fingerprint's CanonicalOrder. A hit additionally verifies the caller's
+/// sorted node-hash sequence (CanonicalOrder::hashes) against the entry's;
+/// a mismatch (a 128-bit fingerprint collision between structurally
+/// different plans) drops the entry and counts as a miss, never as a wrong
+/// plan.
 ///
 /// Every entry is tagged with the model version that produced it. A lookup
 /// under a newer version discards the entry (lazy invalidation): a new
@@ -124,7 +125,7 @@ class PlanCache {
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
   /// False when constructed with capacity 0: callers skip the key's
-  /// options hash and canonicalization (Lookup/Insert would only miss).
+  /// options hash (Lookup/Insert would only miss).
   bool enabled() const { return capacity_ > 0; }
 
   /// The search-relevant slice of OptimizeOptions, hashed. Trace records
