@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +14,20 @@
 
 namespace robopt {
 namespace {
+
+/// The edges touching `op`, as indices into `ctx.edges`, ascending.
+std::span<const uint32_t> IncidentEdges(const EnumerationContext& ctx,
+                                        OperatorId op) {
+  return {ctx.incident_edges.data() + ctx.incident_begin[op],
+          ctx.incident_edges.data() + ctx.incident_begin[op + 1]};
+}
+
+/// The operator at the other end of edge `e` from `op`.
+OperatorId Neighbour(const EnumerationContext& ctx, uint32_t e,
+                     OperatorId op) {
+  const EnumerationContext::Edge& edge = ctx.edges[e];
+  return edge.from == op ? edge.to : edge.from;
+}
 
 /// Encodes operator `op` executed by allowed alternative `allowed_index`
 /// into a zeroed feature row + assignment row.
@@ -108,6 +123,26 @@ StatusOr<EnumerationContext> EnumerationContext::Make(
     for (OperatorId child : plan->AllChildren(op.id)) {
       ctx.edges.push_back(Edge{op.id, child});
     }
+  }
+  // Incident edges, counted then filled in edge order. A self-edge never
+  // crosses a scope, so it is left out.
+  ctx.incident_begin.assign(n + 1, 0);
+  for (const Edge& edge : ctx.edges) {
+    if (edge.from == edge.to) continue;
+    ++ctx.incident_begin[edge.from + 1];
+    ++ctx.incident_begin[edge.to + 1];
+  }
+  for (int i = 0; i < n; ++i) {
+    ctx.incident_begin[i + 1] += ctx.incident_begin[i];
+  }
+  ctx.incident_edges.resize(ctx.incident_begin[n]);
+  std::vector<uint32_t> next(ctx.incident_begin.begin(),
+                             ctx.incident_begin.end() - 1);
+  for (uint32_t e = 0; e < ctx.edges.size(); ++e) {
+    const Edge& edge = ctx.edges[e];
+    if (edge.from == edge.to) continue;
+    ctx.incident_edges[next[edge.from]++] = e;
+    ctx.incident_edges[next[edge.to]++] = e;
   }
 
   const size_t k = static_cast<size_t>(registry->num_platforms());
@@ -216,7 +251,8 @@ PlanVectorEnumeration Enumerate(const EnumerationContext& ctx,
     PlanVectorEnumeration single(ctx.schema->width(),
                                  ctx.plan->num_operators());
     single.mutable_scope().set(op);
-    single.set_boundary(ComputeBoundary(ctx, single.scope()));
+    // A lone operator is on its scope's boundary iff it has any neighbour.
+    if (!IncidentEdges(ctx, op).empty()) single.set_boundary({op});
     single.ReserveAdditional(ctx.allowed_alts[op].size());
     for (size_t i = 0; i < ctx.allowed_alts[op].size(); ++i) {
       const size_t row = single.AppendZero();
@@ -233,15 +269,73 @@ PlanVectorEnumeration Enumerate(const EnumerationContext& ctx,
   return acc;
 }
 
-void MergeRows(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
-               size_t row_a, const PlanVectorEnumeration& b, size_t row_b,
-               PlanVectorEnumeration* out) {
-  MergeRowsAt(ctx, a, row_a, b, row_b, out, out->AppendZero());
+namespace {
+
+/// An edge joining the two scopes of a merge, with its row-independent
+/// conversion amounts resolved once per merge.
+struct CrossingEdge {
+  OperatorId from;
+  OperatorId to;
+  float conv_iters;  ///< Loop iterations the conversion runs.
+  float tuples;      ///< Tuples converted across those iterations.
+};
+
+/// The edges joining scope `a` to scope `b`, in `ctx.edges` order (the
+/// order fixes each row's float-add order). Every such edge touches a
+/// boundary operator of `a`, so only those operators' incident edges are
+/// looked at.
+std::vector<CrossingEdge> CrossingEdges(const EnumerationContext& ctx,
+                                        const PlanVectorEnumeration& a,
+                                        const Scope& b) {
+  std::vector<uint32_t> ids;
+  for (OperatorId op : a.boundary()) {
+    for (uint32_t e : IncidentEdges(ctx, op)) {
+      if (b.test(Neighbour(ctx, e, op))) ids.push_back(e);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  std::vector<CrossingEdge> crossing;
+  crossing.reserve(ids.size());
+  for (uint32_t e : ids) {
+    const EnumerationContext::Edge& edge = ctx.edges[e];
+    const float conv_iters = static_cast<float>(
+        std::min(ctx.loop_iters[edge.from], ctx.loop_iters[edge.to]));
+    crossing.push_back(CrossingEdge{
+        edge.from, edge.to, conv_iters,
+        static_cast<float>(ctx.cards.output[edge.from]) * conv_iters});
+  }
+  return crossing;
 }
 
-void MergeRowsAt(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
-                 size_t row_a, const PlanVectorEnumeration& b, size_t row_b,
-                 PlanVectorEnumeration* out, size_t row) {
+/// Boundary of `a`'s scope joined with `b`'s (`merged`), ascending: the
+/// inputs' boundary operators that keep a neighbour outside `merged`.
+std::vector<OperatorId> MergedBoundary(const EnumerationContext& ctx,
+                                       const PlanVectorEnumeration& a,
+                                       const PlanVectorEnumeration& b,
+                                       const Scope& merged) {
+  std::vector<OperatorId> candidates(a.boundary().size() +
+                                     b.boundary().size());
+  std::merge(a.boundary().begin(), a.boundary().end(), b.boundary().begin(),
+             b.boundary().end(), candidates.begin());
+  std::vector<OperatorId> boundary;
+  for (OperatorId op : candidates) {
+    for (uint32_t e : IncidentEdges(ctx, op)) {
+      if (!merged.test(Neighbour(ctx, e, op))) {
+        boundary.push_back(op);
+        break;
+      }
+    }
+  }
+  return boundary;
+}
+
+/// merge(a[row_a], b[row_b]) into the preallocated, zeroed row `row` of
+/// `out`; `crossing` is CrossingEdges(ctx, a, b.scope()).
+void MergeRowInto(const EnumerationContext& ctx,
+                  const std::vector<CrossingEdge>& crossing,
+                  const PlanVectorEnumeration& a, size_t row_a,
+                  const PlanVectorEnumeration& b, size_t row_b,
+                  PlanVectorEnumeration* out, size_t row) {
   const FeatureSchema& schema = *ctx.schema;
   const size_t width = schema.width();
   float* f = out->features(row);
@@ -264,33 +358,29 @@ void MergeRowsAt(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
 
   // Conversion accounting on edges crossing the two scopes.
   uint16_t switches = a.switches(row_a) + b.switches(row_b);
-  for (const EnumerationContext::Edge& edge : ctx.edges) {
-    const bool a_from = a.scope().test(edge.from);
-    const bool b_from = b.scope().test(edge.from);
-    const bool a_to = a.scope().test(edge.to);
-    const bool b_to = b.scope().test(edge.to);
-    if (!((a_from && b_to) || (b_from && a_to))) continue;
+  for (const CrossingEdge& edge : crossing) {
     const PlatformId from = ctx.PlatformOfAssignment(assign, edge.from);
     const PlatformId to = ctx.PlatformOfAssignment(assign, edge.to);
     if (from == to) continue;
-    const float conv_iters = static_cast<float>(
-        std::min(ctx.loop_iters[edge.from], ctx.loop_iters[edge.to]));
-    const float tuples =
-        static_cast<float>(ctx.cards.output[edge.from]) * conv_iters;
-    f[ctx.conv_cell_count[from][to]] += conv_iters;
-    f[ctx.conv_cell_in[from][to]] += tuples;
-    f[ctx.conv_cell_out[from][to]] += tuples;
+    f[ctx.conv_cell_count[from][to]] += edge.conv_iters;
+    f[ctx.conv_cell_in[from][to]] += edge.tuples;
+    f[ctx.conv_cell_out[from][to]] += edge.tuples;
     ++switches;
   }
   out->set_switches(row, switches);
 }
 
-namespace {
-
 /// Minimum rows a shard must own before forking pays for itself.
 constexpr size_t kParallelGrainRows = 1024;
 
 }  // namespace
+
+void MergeRows(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
+               size_t row_a, const PlanVectorEnumeration& b, size_t row_b,
+               PlanVectorEnumeration* out) {
+  MergeRowInto(ctx, CrossingEdges(ctx, a, b.scope()), a, row_a, b, row_b,
+               out, out->AppendZero());
+}
 
 PlanVectorEnumeration Concat(const EnumerationContext& ctx,
                              const PlanVectorEnumeration& a,
@@ -299,29 +389,24 @@ PlanVectorEnumeration Concat(const EnumerationContext& ctx,
   ROBOPT_DCHECK((a.scope() & b.scope()).none());
   PlanVectorEnumeration out(a.width(), a.num_ops());
   out.mutable_scope() = a.scope() | b.scope();
-  out.set_boundary(ComputeBoundary(ctx, out.scope()));
+  out.set_boundary(MergedBoundary(ctx, a, b, out.scope()));
+  const std::vector<CrossingEdge> crossing = CrossingEdges(ctx, a, b.scope());
+  // Row r of the output is the merge of a[r / |b|] with b[r % |b|] (i-major
+  // order). Each range fills its disjoint rows of the preallocated pool in
+  // place, so sharding the range leaves every bit as the serial loop has it.
   const size_t rows = a.size() * b.size();
-  if (num_threads <= 1 || rows < 2 * kParallelGrainRows) {
-    out.Reserve(rows);
-    for (size_t i = 0; i < a.size(); ++i) {
-      for (size_t j = 0; j < b.size(); ++j) {
-        MergeRows(ctx, a, i, b, j, &out);
-      }
-    }
-    return out;
-  }
-  // Shard the flattened (i, j) pair space: row r of the output is the merge
-  // of a[r / |b|] with b[r % |b|], exactly the serial (i-major) order, so
-  // each shard fills a disjoint contiguous row range of the preallocated
-  // pool and the result is bit-identical for every thread count.
-  out.AppendZeroRows(rows);
   const size_t b_rows = b.size();
-  ParallelFor(num_threads, 0, rows, kParallelGrainRows,
-              [&](size_t begin, size_t end) {
-                for (size_t r = begin; r < end; ++r) {
-                  MergeRowsAt(ctx, a, r / b_rows, b, r % b_rows, &out, r);
-                }
-              });
+  out.AppendZeroRows(rows);
+  const auto merge_range = [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      MergeRowInto(ctx, crossing, a, r / b_rows, b, r % b_rows, &out, r);
+    }
+  };
+  if (num_threads <= 1 || rows < 2 * kParallelGrainRows) {
+    merge_range(0, rows);
+  } else {
+    ParallelFor(num_threads, 0, rows, kParallelGrainRows, merge_range);
+  }
   return out;
 }
 

@@ -39,6 +39,14 @@ struct EnumerationContext {
     OperatorId to;
   };
   std::vector<Edge> edges;
+  /// Indices into `edges` of the edges touching each operator, ascending,
+  /// self-edges left out; operator `op`'s run is [incident_begin[op],
+  /// incident_begin[op + 1]) of `incident_edges` (one flat array, so making
+  /// a context allocates two vectors, not one per operator). Concat reads a
+  /// merge's crossing edges and the merged scope's boundary off these runs
+  /// instead of scanning every edge.
+  std::vector<uint32_t> incident_begin;
+  std::vector<uint32_t> incident_edges;
 
   /// conv_cell_*[from_platform][to_platform]: pre-resolved feature cells for
   /// a conversion between two platforms (SIZE_MAX on the diagonal).
@@ -89,27 +97,30 @@ PlanVectorEnumeration Enumerate(const EnumerationContext& ctx,
 /// edges. This fusion over a contiguous pool is the vectorized fast path
 /// the paper's Figure 1 measures.
 ///
+/// Everything that depends only on the two scopes is done once per call,
+/// not once per row: the edges joining `a.scope()` to `b.scope()` are
+/// collected once (in `ctx.edges` order, so per-row float-add order is
+/// fixed), and the union's boundary is derived from the two input
+/// boundaries — every boundary operator of A∪B is one of A or of B, and it
+/// stays one iff it has a neighbour outside A∪B. The inputs' boundaries
+/// must therefore be exact, as Enumerate, Concat and the prunes keep them.
+///
 /// With `num_threads > 1` the flattened (row_a, row_b) pair space is sharded
 /// into contiguous chunks, each merged by one pool thread directly into its
-/// slice of the preallocated output. Row order and content are bit-identical
-/// to the serial path for every thread count; `num_threads <= 1` runs the
-/// original serial loop.
+/// slice of the preallocated output. Serial and sharded paths run the same
+/// row kernel, so row order and content are bit-identical for every thread
+/// count.
 PlanVectorEnumeration Concat(const EnumerationContext& ctx,
                              const PlanVectorEnumeration& a,
                              const PlanVectorEnumeration& b,
                              int num_threads = 1);
 
-/// (6) merge(v1, v2) -> v for a single pair of rows (exposed for tests and
-/// for the paper-faithful formulation; Concat is the batched form).
+/// (6) merge(v1, v2) -> v for a single pair of rows, appended to `out`
+/// (exposed for tests and for the paper-faithful formulation; Concat is the
+/// batched form and produces the same row bits).
 void MergeRows(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
                size_t row_a, const PlanVectorEnumeration& b, size_t row_b,
                PlanVectorEnumeration* out);
-
-/// merge into a preexisting (zeroed) row `row` of `out` — the form the
-/// sharded Concat uses so threads can write disjoint row ranges in place.
-void MergeRowsAt(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
-                 size_t row_a, const PlanVectorEnumeration& b, size_t row_b,
-                 PlanVectorEnumeration* out, size_t row);
 
 /// Boundary operators of a scope: members adjacent (data or broadcast edge)
 /// to at least one operator outside the scope.

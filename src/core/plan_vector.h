@@ -65,10 +65,13 @@ class PlanVectorEnumeration {
   uint16_t switches(size_t row) const { return switches_[row]; }
   void set_switches(size_t row, uint16_t value) { switches_[row] = value; }
 
-  /// Appends a zeroed row and returns its index.
+  /// Appends a zeroed row and returns its index. The appends resize
+  /// without an explicit value: value-initialization zero-fills through
+  /// memset, while resize(n, 0.0f) compiles to a scalar fill loop wherever
+  /// GCC does not inline vector::_M_fill_insert.
   size_t AppendZero() {
-    features_.resize(features_.size() + width_, 0.0f);
-    assign_.resize(assign_.size() + num_ops_, 0);
+    features_.resize(features_.size() + width_);
+    assign_.resize(assign_.size() + num_ops_);
     switches_.push_back(0);
     return size_++;
   }
@@ -78,9 +81,9 @@ class PlanVectorEnumeration {
   /// each shard fill a disjoint row range in place.
   size_t AppendZeroRows(size_t rows) {
     const size_t first = size_;
-    features_.resize(features_.size() + rows * width_, 0.0f);
-    assign_.resize(assign_.size() + rows * num_ops_, 0);
-    switches_.resize(switches_.size() + rows, 0);
+    features_.resize(features_.size() + rows * width_);
+    assign_.resize(assign_.size() + rows * num_ops_);
+    switches_.resize(switches_.size() + rows);
     size_ += rows;
     return first;
   }
