@@ -1,6 +1,7 @@
 #include "baseline/traditional_enumerator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -96,6 +97,7 @@ std::vector<float> TraditionalEnumerator::VectorizeSubplan(
 
 double TraditionalEnumerator::CostOf(const ObjectSubplan& subplan,
                                      TraditionalStats* stats) const {
+  ++stats->subplans_costed;
   if (options_.oracle == TraditionalOracle::kMlModel) {
     Stopwatch vectorize_watch;
     const std::vector<float> features = VectorizeSubplan(subplan);
@@ -202,24 +204,42 @@ StatusOr<TraditionalResult> TraditionalEnumerator::Run() {
     if (!options_.prune || group.size() <= 1) return;
     const std::vector<OperatorId> boundary =
         ComputeBoundary(*ctx_, group[0].scope);
-    std::map<std::string, std::pair<double, size_t>> best;
+    // Footprints first: a sub-plan alone in its footprint is kept whatever
+    // it costs, so only sub-plans with a rival are costed (as in Robopt).
+    std::vector<std::string> keys(group.size());
+    struct Champion {
+      size_t members = 0;
+      double cost = 0.0;
+      size_t row = SIZE_MAX;
+    };
+    std::map<std::string, Champion> best;
     for (size_t i = 0; i < group.size(); ++i) {
       std::unordered_map<OperatorId, PlatformId> platform_of;
       for (const auto& obj : group[i].ops) {
         platform_of[obj->op] = ctx_->alt_platform[obj->op][obj->alt];
       }
-      std::string key(boundary.size(), '\0');
+      keys[i].assign(boundary.size(), '\0');
       for (size_t bi = 0; bi < boundary.size(); ++bi) {
-        key[bi] = static_cast<char>(platform_of[boundary[bi]] + 1);
+        keys[i][bi] = static_cast<char>(platform_of[boundary[bi]] + 1);
+      }
+      ++best[keys[i]].members;
+    }
+    for (size_t i = 0; i < group.size(); ++i) {
+      Champion& champion = best[keys[i]];
+      if (champion.members == 1) {
+        champion.row = i;
+        continue;
       }
       const double cost = CostOf(group[i], &result.stats);
-      auto [it, inserted] = best.try_emplace(key, cost, i);
-      if (!inserted && cost < it->second.first) it->second = {cost, i};
+      if (champion.row == SIZE_MAX || cost < champion.cost) {
+        champion.cost = cost;
+        champion.row = i;
+      }
     }
     std::vector<ObjectSubplan> kept;
     kept.reserve(best.size());
     std::vector<size_t> keep_rows;
-    for (const auto& [key, entry] : best) keep_rows.push_back(entry.second);
+    for (const auto& [key, champion] : best) keep_rows.push_back(champion.row);
     std::sort(keep_rows.begin(), keep_rows.end());
     for (size_t row : keep_rows) kept.push_back(std::move(group[row]));
     group = std::move(kept);

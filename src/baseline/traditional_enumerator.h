@@ -28,6 +28,9 @@ struct TraditionalOptions {
 struct TraditionalStats {
   /// Sub-plan objects materialized during enumeration.
   size_t subplans_created = 0;
+  /// Oracle calls: sub-plans pruning costed (those with a rival in their
+  /// footprint) plus the final candidates. Matches Robopt's oracle rows.
+  size_t subplans_costed = 0;
   /// Time spent transforming sub-plan object graphs into feature vectors
   /// (Rheem-ML only; the paper measured 47% of optimization time here).
   double vectorize_ms = 0.0;

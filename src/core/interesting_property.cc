@@ -2,7 +2,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace robopt {
@@ -12,24 +11,12 @@ PlanVectorEnumeration PruneBoundaryWithProperties(
     const CostOracle& oracle,
     const std::vector<const InterestingProperty*>& properties,
     PruneStats* stats) {
-  PlanVectorEnumeration out(v.width(), v.num_ops());
-  out.mutable_scope() = v.scope();
-  out.set_boundary(v.boundary());
-  if (stats != nullptr) stats->rows_in += v.size();
-  if (v.size() <= 1) {
-    for (size_t i = 0; i < v.size(); ++i) out.AppendCopy(v, i);
-    if (stats != nullptr) stats->rows_out += out.size();
-    return out;
-  }
-
-  std::vector<float> costs(v.size());
-  oracle.EstimateBatch(v.feature_pool().data(), v.size(), v.width(),
-                       costs.data());
-
+  // Number each row's (platform, property codes...) footprint in first-seen
+  // order; the champion pass then scores only the contested rows.
   const std::vector<OperatorId>& boundary = v.boundary();
   const size_t stride = 1 + properties.size();
-  std::unordered_map<std::string, size_t> best;
-  std::vector<std::pair<std::string, size_t>> order;
+  std::unordered_map<std::string, uint32_t> number;
+  std::vector<uint32_t> group_of(v.size());
   std::string key(boundary.size() * stride, '\0');
   for (size_t row = 0; row < v.size(); ++row) {
     const uint8_t* assign = v.assignment(row);
@@ -44,19 +31,11 @@ PlanVectorEnumeration PruneBoundaryWithProperties(
             properties[pi]->CodeOf(ctx, op, alt_index) + 1);
       }
     }
-    auto [it, inserted] = best.try_emplace(key, row);
-    if (inserted) {
-      order.emplace_back(key, row);
-    } else if (costs[row] < costs[it->second]) {
-      it->second = row;
-    }
+    group_of[row] =
+        number.try_emplace(key, static_cast<uint32_t>(number.size()))
+            .first->second;
   }
-  out.ReserveAdditional(order.size());
-  for (auto& [footprint, first_row] : order) {
-    out.AppendCopy(v, best[footprint]);
-  }
-  if (stats != nullptr) stats->rows_out += out.size();
-  return out;
+  return KeepGroupChampions(v, group_of, number.size(), oracle, stats);
 }
 
 }  // namespace robopt

@@ -60,7 +60,8 @@ class SortednessProperty : public InterestingProperty {
 
 /// prune(V, m) generalized with interesting properties: groups rows by the
 /// (platform, property codes...) of every boundary operator and keeps the
-/// cheapest row per group. With an empty property list this is exactly
+/// cheapest row per group, scoring only rows that have a rival in their
+/// group (see PruneBoundary). With an empty property list this is exactly
 /// PruneBoundary.
 PlanVectorEnumeration PruneBoundaryWithProperties(
     const EnumerationContext& ctx, const PlanVectorEnumeration& v,

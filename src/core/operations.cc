@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -416,145 +417,76 @@ namespace {
 /// key (one platform byte per boundary operator, 0xff = unassigned).
 constexpr size_t kPackedFootprintOps = 8;
 
-/// Footprint grouping core: returns the kept row per footprint, in the
-/// serial first-seen footprint order with the serial tie-break (a later row
-/// replaces the group's champion only when strictly cheaper). Shards the
-/// row range into contiguous per-thread maps and reduces them in ascending
-/// shard order, which reproduces the serial semantics exactly because every
-/// row of shard s precedes every row of shard s+1.
-template <typename Key, typename KeyFn>
-std::vector<size_t> GroupFootprints(size_t rows, const float* costs,
-                                    const KeyFn& key_of, int num_threads) {
-  struct Shard {
-    std::unordered_map<Key, size_t> best;           // footprint -> row.
-    std::vector<std::pair<Key, size_t>> order;      // First-seen order.
-  };
-  auto scan = [&](size_t begin, size_t end, Shard* shard) {
-    for (size_t row = begin; row < end; ++row) {
-      auto [it, inserted] = shard->best.try_emplace(key_of(row), row);
-      if (inserted) {
-        shard->order.emplace_back(it->first, row);
-      } else if (costs[row] < costs[it->second]) {
-        it->second = row;
-      }
-    }
-  };
-
-  const size_t shard_count =
-      num_threads <= 1
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(num_threads),
-                             rows / kParallelGrainRows);
-  if (shard_count <= 1) {
-    Shard all;
-    scan(0, rows, &all);
-    std::vector<size_t> kept;
-    kept.reserve(all.order.size());
-    for (const auto& [key, first_row] : all.order) {
-      kept.push_back(all.best[key]);
-    }
-    return kept;
-  }
-
-  std::vector<Shard> shards(shard_count);
-  std::vector<size_t> starts(shard_count + 1, 0);
-  const size_t base = rows / shard_count;
-  const size_t extra = rows % shard_count;
-  for (size_t s = 0; s < shard_count; ++s) {
-    starts[s + 1] = starts[s] + base + (s < extra ? 1 : 0);
-  }
-  ParallelFor(num_threads, 0, shard_count, 1, [&](size_t s0, size_t s1) {
-    for (size_t s = s0; s < s1; ++s) scan(starts[s], starts[s + 1], &shards[s]);
-  });
-
-  std::unordered_map<Key, size_t> best;
-  std::vector<Key> order;
-  for (const Shard& shard : shards) {
-    for (const auto& [key, first_row] : shard.order) {
-      const size_t row = shard.best.at(key);
-      auto [it, inserted] = best.try_emplace(key, row);
-      if (inserted) {
-        order.push_back(key);
-      } else if (costs[row] < costs[it->second]) {
-        it->second = row;
-      }
-    }
-  }
-  std::vector<size_t> kept;
-  kept.reserve(order.size());
-  for (const Key& key : order) kept.push_back(best[key]);
-  return kept;
-}
-
-/// Packed-footprint grouping: same contract as GroupFootprints (kept row
-/// per footprint, serial first-seen order, strictly-cheaper tie-break), but
-/// the footprint store is a dense first-seen-ordered uint64 array probed
-/// with the SIMD dispatch shim's vector key compare instead of a hash map.
-/// Distinct footprints are few in the common case (platforms^|boundary|,
-/// tens on real plans), so the whole key array sits in a couple of cache
-/// lines and a linear vector probe beats hashing + pointer chasing. When a
-/// wide boundary does explode the footprint set, the shard migrates to a
-/// hash index at kFlatFootprintCap keys — the probe's O(distinct) cost must
-/// not go quadratic — while the dense arrays keep carrying the first-seen
-/// order and champions.
+/// Distinct packed footprints a FootprintIndex probes linearly before it
+/// migrates to a hash index.
 constexpr size_t kFlatFootprintCap = 512;
 
-template <typename KeyFn>
-std::vector<size_t> GroupFootprintsPacked(size_t rows, const float* costs,
-                                          const KeyFn& key_of,
-                                          int num_threads) {
-  struct Shard {
-    std::vector<uint64_t> keys;  ///< Distinct footprints, first-seen order.
-    std::vector<size_t> best;    ///< Champion row per key, parallel.
-    /// footprint -> slot in keys/best; engaged past kFlatFootprintCap.
-    std::unordered_map<uint64_t, size_t> index;
-  };
-  const auto find_u64 = simd::Ops().find_u64;
-  auto insert = [&](Shard* shard, uint64_t key, size_t row) {
-    size_t slot;
-    if (shard->index.empty()) {
-      slot = find_u64(shard->keys.data(), shard->keys.size(), key);
-      if (slot == shard->keys.size()) {
-        shard->keys.push_back(key);
-        shard->best.push_back(row);
-        if (shard->keys.size() >= kFlatFootprintCap) {
-          shard->index.reserve(2 * shard->keys.size());
-          for (size_t i = 0; i < shard->keys.size(); ++i) {
-            shard->index.emplace(shard->keys[i], i);
+/// Numbers distinct footprints in first-seen order. Packed keys live in a
+/// dense array probed with the SIMD dispatch shim's vector key compare:
+/// distinct footprints are few in the common case (platforms^|boundary|,
+/// tens on real plans), so the array sits in a couple of cache lines and a
+/// linear vector probe beats hashing. When a wide boundary does explode the
+/// footprint set, the index migrates to a hash map at kFlatFootprintCap
+/// keys, so the probe's O(distinct) cost cannot go quadratic. String keys
+/// (the wide-boundary fallback) always go through the hash map.
+template <typename Key>
+class FootprintIndex {
+ public:
+  /// Number of `key`, giving a new key the next number.
+  uint32_t Intern(const Key& key) {
+    if constexpr (std::is_same_v<Key, uint64_t>) {
+      if (index_.empty()) {
+        const size_t slot = find_u64_(keys_.data(), keys_.size(), key);
+        if (slot < keys_.size()) return static_cast<uint32_t>(slot);
+        keys_.push_back(key);
+        if (keys_.size() >= kFlatFootprintCap) {
+          index_.reserve(2 * keys_.size());
+          for (size_t i = 0; i < keys_.size(); ++i) {
+            index_.emplace(keys_[i], static_cast<uint32_t>(i));
           }
         }
-        return;
+        return static_cast<uint32_t>(keys_.size() - 1);
       }
-    } else {
-      const auto [it, inserted] =
-          shard->index.try_emplace(key, shard->keys.size());
-      if (inserted) {
-        shard->keys.push_back(key);
-        shard->best.push_back(row);
-        return;
-      }
-      slot = it->second;
     }
-    if (costs[row] < costs[shard->best[slot]]) shard->best[slot] = row;
-  };
-  auto scan = [&](size_t begin, size_t end, Shard* shard) {
-    for (size_t row = begin; row < end; ++row) {
-      insert(shard, key_of(row), row);
-    }
-  };
+    const auto [it, inserted] =
+        index_.try_emplace(key, static_cast<uint32_t>(keys_.size()));
+    if (inserted) keys_.push_back(key);
+    return it->second;
+  }
 
+  /// The distinct keys, in first-seen order.
+  const std::vector<Key>& keys() const { return keys_; }
+
+ private:
+  decltype(simd::OpsTable::find_u64) find_u64_ = simd::Ops().find_u64;
+  std::vector<Key> keys_;
+  std::unordered_map<Key, uint32_t> index_;
+};
+
+/// Numbers each row's footprint `key_of(row)` into `group_of` in serial
+/// first-seen order and returns the number of distinct footprints. With
+/// `num_threads > 1` contiguous row shards number their footprints locally
+/// and are renumbered in ascending shard order, which is the serial
+/// numbering because every row of shard s precedes every row of shard s+1.
+template <typename Key, typename KeyFn>
+size_t NumberFootprints(size_t rows, const KeyFn& key_of, int num_threads,
+                        std::vector<uint32_t>* group_of) {
+  group_of->resize(rows);
+  uint32_t* const ids = group_of->data();
   const size_t shard_count =
       num_threads <= 1
           ? 1
           : std::min<size_t>(static_cast<size_t>(num_threads),
                              rows / kParallelGrainRows);
   if (shard_count <= 1) {
-    Shard all;
-    scan(0, rows, &all);
-    return std::move(all.best);
+    FootprintIndex<Key> index;
+    for (size_t row = 0; row < rows; ++row) {
+      ids[row] = index.Intern(key_of(row));
+    }
+    return index.keys().size();
   }
 
-  std::vector<Shard> shards(shard_count);
+  std::vector<FootprintIndex<Key>> shards(shard_count);
   std::vector<size_t> starts(shard_count + 1, 0);
   const size_t base = rows / shard_count;
   const size_t extra = rows % shard_count;
@@ -562,53 +494,83 @@ std::vector<size_t> GroupFootprintsPacked(size_t rows, const float* costs,
     starts[s + 1] = starts[s] + base + (s < extra ? 1 : 0);
   }
   ParallelFor(num_threads, 0, shard_count, 1, [&](size_t s0, size_t s1) {
-    for (size_t s = s0; s < s1; ++s) scan(starts[s], starts[s + 1], &shards[s]);
+    for (size_t s = s0; s < s1; ++s) {
+      for (size_t row = starts[s]; row < starts[s + 1]; ++row) {
+        ids[row] = shards[s].Intern(key_of(row));
+      }
+    }
   });
-
-  // Ascending shard order reproduces the serial first-seen order and
-  // tie-break exactly: every row of shard s precedes every row of s+1.
-  Shard merged;
-  for (const Shard& shard : shards) {
-    for (size_t i = 0; i < shard.keys.size(); ++i) {
-      insert(&merged, shard.keys[i], shard.best[i]);
+  FootprintIndex<Key> merged;
+  std::vector<std::vector<uint32_t>> renumber(shard_count);
+  for (size_t s = 0; s < shard_count; ++s) {
+    for (const Key& key : shards[s].keys()) {
+      renumber[s].push_back(merged.Intern(key));
     }
   }
-  return std::move(merged.best);
+  ParallelFor(num_threads, 0, shard_count, 1, [&](size_t s0, size_t s1) {
+    for (size_t s = s0; s < s1; ++s) {
+      for (size_t row = starts[s]; row < starts[s + 1]; ++row) {
+        ids[row] = renumber[s][ids[row]];
+      }
+    }
+  });
+  return merged.keys().size();
 }
 
 }  // namespace
 
-PlanVectorEnumeration PruneBoundary(
-    const EnumerationContext& ctx, const PlanVectorEnumeration& v,
-    const CostOracle& oracle, PruneStats* stats, int num_threads,
+PlanVectorEnumeration KeepGroupChampions(
+    const PlanVectorEnumeration& v, const std::vector<uint32_t>& group_of,
+    size_t groups, const CostOracle& oracle, PruneStats* stats,
     std::vector<std::pair<size_t, float>>* cheapest_out, size_t cheapest_k) {
   if (cheapest_out != nullptr) cheapest_out->clear();
+  const size_t rows = v.size();
+  ROBOPT_DCHECK(group_of.size() == rows);
   PlanVectorEnumeration out(v.width(), v.num_ops());
   out.mutable_scope() = v.scope();
   out.set_boundary(v.boundary());
-  if (stats != nullptr) stats->rows_in += v.size();
-  if (v.size() <= 1) {
-    for (size_t i = 0; i < v.size(); ++i) out.AppendCopy(v, i);
-    if (stats != nullptr) stats->rows_out += out.size();
-    return out;
+
+  // Members per group; a row is contested when its group has a rival.
+  std::vector<uint32_t> members(groups, 0);
+  for (size_t row = 0; row < rows; ++row) ++members[group_of[row]];
+  const bool harvest = cheapest_out != nullptr && cheapest_k > 0 && rows > 1;
+  size_t contested = 0;
+  for (uint32_t count : members) {
+    if (count > 1) contested += count;
+  }
+  const auto scored = [&](size_t row) {
+    return harvest || members[group_of[row]] > 1;
+  };
+
+  // One oracle batch over the scored rows, in row order: the pool itself
+  // when every row is scored, else a contiguous gather of the contested
+  // rows. (An ML oracle parallelizes internally over row blocks; see
+  // RandomForest::PredictBatch.)
+  const size_t width = v.width();
+  const size_t num_scored = harvest ? rows : contested;
+  std::vector<float> costs(num_scored);
+  if (num_scored == rows && rows > 0) {
+    oracle.EstimateBatch(v.feature_pool().data(), rows, width, costs.data());
+  } else if (num_scored > 0) {
+    std::vector<float> batch(num_scored * width);
+    float* dst = batch.data();
+    for (size_t row = 0; row < rows; ++row) {
+      if (!scored(row)) continue;
+      std::memcpy(dst, v.features(row), width * sizeof(float));
+      dst += width;
+    }
+    oracle.EstimateBatch(batch.data(), num_scored, width, costs.data());
   }
 
-  // One batch oracle call over the whole contiguous pool — no per-subplan
-  // transformation. (An ML oracle parallelizes internally over row blocks;
-  // see RandomForest::PredictBatch.)
-  std::vector<float> costs(v.size());
-  oracle.EstimateBatch(v.feature_pool().data(), v.size(), v.width(),
-                       costs.data());
-
-  if (cheapest_out != nullptr && cheapest_k > 0) {
+  if (harvest) {
     // Runner-up harvest off the batch just computed: the k cheapest input
     // rows by (cost, row index) — the same tie order as the argmin scan.
     // k is tiny (top_k + 1), so a bounded insertion scan beats building an
     // index vector: one pass, no allocation on the prune hot path (the
     // caller reuses cheapest_out's capacity across calls).
-    const size_t keep = std::min(cheapest_k, v.size());
+    const size_t keep = std::min(cheapest_k, rows);
     cheapest_out->reserve(keep);
-    for (size_t row = 0; row < v.size(); ++row) {
+    for (size_t row = 0; row < rows; ++row) {
       const float cost = costs[row];
       if (cheapest_out->size() == keep &&
           cost >= cheapest_out->back().second) {
@@ -621,10 +583,46 @@ PlanVectorEnumeration PruneBoundary(
     }
   }
 
+  // Champion per group: the first row seen, replaced by a later scored row
+  // only when strictly cheaper. Scored rows take their costs in row order.
+  constexpr size_t kNone = SIZE_MAX;
+  std::vector<size_t> champion(groups, kNone);
+  std::vector<float> champion_cost(groups, 0.0f);
+  size_t next_cost = 0;
+  for (size_t row = 0; row < rows; ++row) {
+    const uint32_t g = group_of[row];
+    if (!scored(row)) {
+      champion[g] = row;
+      continue;
+    }
+    const float cost = costs[next_cost++];
+    if (champion[g] == kNone || cost < champion_cost[g]) {
+      champion[g] = row;
+      champion_cost[g] = cost;
+    }
+  }
+
+  // Exact-size reservation: one output row per distinct footprint, in
+  // first-seen footprint order.
+  out.Reserve(groups);
+  for (size_t row : champion) out.AppendCopy(v, row);
+  if (stats != nullptr) {
+    stats->rows_in += rows;
+    stats->rows_out += out.size();
+    stats->rows_unscored += rows - num_scored;
+  }
+  return out;
+}
+
+PlanVectorEnumeration PruneBoundary(
+    const EnumerationContext& ctx, const PlanVectorEnumeration& v,
+    const CostOracle& oracle, PruneStats* stats, int num_threads,
+    std::vector<std::pair<size_t, float>>* cheapest_out, size_t cheapest_k) {
   // Group rows by pruning footprint: the *platform* of every boundary
-  // operator (Definition 2); keep the cheapest row per footprint.
+  // operator (Definition 2).
   const std::vector<OperatorId>& boundary = v.boundary();
-  std::vector<size_t> kept;
+  std::vector<uint32_t> group_of;
+  size_t groups = 0;
   if (boundary.size() <= kPackedFootprintOps) {
     const auto key_of = [&](size_t row) {
       const uint8_t* assign = v.assignment(row);
@@ -636,10 +634,11 @@ PlanVectorEnumeration PruneBoundary(
       }
       return key;
     };
-    kept = GroupFootprintsPacked(v.size(), costs.data(), key_of, num_threads);
+    groups = NumberFootprints<uint64_t>(v.size(), key_of, num_threads,
+                                        &group_of);
   } else {
-    // Wide-boundary fallback (more than 8 boundary operators): the original
-    // string keys, same grouping semantics.
+    // Wide-boundary fallback (more than 8 boundary operators): string keys,
+    // same grouping semantics.
     const auto key_of = [&](size_t row) {
       const uint8_t* assign = v.assignment(row);
       std::string key(boundary.size(), '\0');
@@ -649,15 +648,11 @@ PlanVectorEnumeration PruneBoundary(
       }
       return key;
     };
-    kept = GroupFootprints<std::string>(v.size(), costs.data(), key_of,
-                                        num_threads);
+    groups = NumberFootprints<std::string>(v.size(), key_of, num_threads,
+                                           &group_of);
   }
-
-  // Exact-size reservation: one output row per distinct footprint.
-  out.Reserve(kept.size());
-  for (size_t row : kept) out.AppendCopy(v, row);
-  if (stats != nullptr) stats->rows_out += out.size();
-  return out;
+  return KeepGroupChampions(v, group_of, groups, oracle, stats, cheapest_out,
+                            cheapest_k);
 }
 
 PlanVectorEnumeration PruneSwitchCap(const EnumerationContext& ctx,

@@ -1,6 +1,8 @@
 #ifndef ROBOPT_CORE_OPERATIONS_H_
 #define ROBOPT_CORE_OPERATIONS_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -130,6 +132,10 @@ std::vector<OperatorId> ComputeBoundary(const EnumerationContext& ctx,
 struct PruneStats {
   size_t rows_in = 0;
   size_t rows_out = 0;
+  /// Rows kept without a cost: each was the only row of its footprint
+  /// group, so it survives whatever it costs and is never sent to the
+  /// oracle. Counted by the boundary prunes only.
+  size_t rows_unscored = 0;
 };
 
 /// (7) prune(V, m) -> V' : the boundary pruning of Definition 2 — groups
@@ -137,22 +143,46 @@ struct PruneStats {
 /// footprint) and keeps the cheapest row of each group according to the
 /// oracle. Lossless w.r.t. the oracle.
 ///
+/// Grouping comes first and needs no cost. Only *contested* rows — rows of
+/// groups with two or more members — are scored, in one oracle batch: a
+/// row alone in its group is kept whatever it costs. When every row is
+/// contested the pool is scored in place; when none is, the oracle is not
+/// called. The kept set is therefore the score-every-row result: one row
+/// per footprint, in first-seen footprint order, each the group's strictly
+/// cheapest row (the earliest on ties). `stats->rows_unscored` counts the
+/// rows kept unscored.
+///
 /// Footprints of up to 8 boundary operators are packed into a `uint64_t`
 /// key (one platform byte per boundary operator); larger boundaries fall
-/// back to string keys. With `num_threads > 1` the rows are sharded into
-/// per-thread footprint maps that are reduced in ascending shard order,
-/// reproducing the serial first-seen group order and earliest-row
-/// tie-breaking exactly.
-/// With `cheapest_out` non-null and `cheapest_k > 0`, additionally reports
-/// the `cheapest_k` cheapest *input* rows as (row, cost) pairs ascending by
-/// (cost, row index) — reusing the batch the prune computes anyway, so the
-/// diagnostics runner-up harvest costs zero extra oracle work. Left empty
-/// when `v` has at most one row (no batch is computed). The pruned output,
-/// every stat and the oracle row count are identical either way.
+/// back to string keys. Each row's footprint is computed once. With
+/// `num_threads > 1` the rows are sharded into per-thread footprint
+/// numberings that are renumbered in ascending shard order, reproducing
+/// the serial first-seen group order exactly.
+///
+/// With `cheapest_out` non-null and `cheapest_k > 0`, every row of a pool
+/// of two or more rows is scored, and the `cheapest_k` cheapest *input*
+/// rows are reported as (row, cost) pairs ascending by (cost, row index).
+/// Its one caller is the last merge of an enumeration, whose scope is the
+/// whole plan: its boundary is empty, so all its rows share one footprint
+/// and are contested anyway. The runner-up harvest thus still sees every
+/// row of the final merge, at zero extra oracle work, and the pruned
+/// output, every stat and the oracle row count are identical either way.
+/// Left empty when `v` has at most one row (nothing is scored).
 PlanVectorEnumeration PruneBoundary(
     const EnumerationContext& ctx, const PlanVectorEnumeration& v,
     const CostOracle& oracle, PruneStats* stats = nullptr,
     int num_threads = 1,
+    std::vector<std::pair<size_t, float>>* cheapest_out = nullptr,
+    size_t cheapest_k = 0);
+
+/// The champion pass of the boundary prunes (PruneBoundary and
+/// PruneBoundaryWithProperties): `group_of[row]` numbers the footprint
+/// group of each row of `v`, groups numbered 0, 1, ... in first-seen row
+/// order, `groups` of them. Scores the contested rows and keeps each
+/// group's champion, as PruneBoundary documents.
+PlanVectorEnumeration KeepGroupChampions(
+    const PlanVectorEnumeration& v, const std::vector<uint32_t>& group_of,
+    size_t groups, const CostOracle& oracle, PruneStats* stats = nullptr,
     std::vector<std::pair<size_t, float>>* cheapest_out = nullptr,
     size_t cheapest_k = 0);
 

@@ -92,6 +92,7 @@ StatusOr<OptimizeResult> RoboptOptimizer::Optimize(
       profile.plans_enumerated = result.stats.vectors_created;
       profile.oracle_rows = result.stats.oracle_rows;
       profile.oracle_batches = result.stats.oracle_batches;
+      profile.rows_unscored = result.stats.rows_unscored;
       profile.phase.total_us = result.latency_ms * 1000.0;
       result.profile = profile;
     }
@@ -144,6 +145,7 @@ StatusOr<OptimizeResult> RoboptOptimizer::Optimize(
       found = true;
       best.stats.vectors_created += run->stats.vectors_created;
       best.stats.oracle_rows += run->stats.oracle_rows;
+      best.stats.rows_unscored += run->stats.rows_unscored;
       if (options.top_k_runners > 0) {
         PlanRunnerUp entry;
         entry.predicted_runtime_s = run->predicted_runtime_s;

@@ -208,6 +208,7 @@ StatusOr<EnumerationResult> PriorityEnumerator::Run() const {
     }
     prune_span.End();
     result.stats.vectors_pruned += prune_stats.rows_in - prune_stats.rows_out;
+    result.stats.rows_unscored += prune_stats.rows_unscored;
     const size_t cap = options_.max_rows_per_enumeration;
     if (cap > 0 && pruned.size() > cap) {
       PlanVectorEnumeration sampled(pruned.width(), pruned.num_ops());

@@ -71,6 +71,9 @@ struct EnumerationStats {
   /// Rows sent to the cost oracle (model invocations).
   size_t oracle_rows = 0;
   size_t oracle_batches = 0;
+  /// Rows boundary pruning kept without a cost: the only row of their
+  /// footprint group, so never sent to the oracle (PruneStats).
+  size_t rows_unscored = 0;
 };
 
 struct EnumerationResult {

@@ -70,8 +70,12 @@ struct OptimizeProfile {
   /// Rows into/out of the switch-cap (property-heuristic) prune.
   size_t switch_prune_rows_in = 0;
   size_t switch_prune_rows_out = 0;
-  size_t oracle_rows = 0;     ///< Rows sent to the cost oracle.
+  /// Rows actually sent to the cost oracle: the contested rows of every
+  /// boundary prune plus the final getOptimal batch. A row alone in its
+  /// footprint group is kept unscored and counted in `rows_unscored`.
+  size_t oracle_rows = 0;
   size_t oracle_batches = 0;
+  size_t rows_unscored = 0;  ///< Pruned rows kept without a cost.
 };
 
 /// Per-operator slice of one execution.

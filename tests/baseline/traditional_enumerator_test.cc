@@ -146,6 +146,8 @@ TEST_F(TraditionalEnumeratorTest, RheemMlFacadeRuns) {
 
 TEST_F(TraditionalEnumeratorTest, SubplanCountsMatchVectorizedCounts) {
   // Identical search strategy -> identical number of explored sub-plans.
+  // Both cost only sub-plans with a rival in their boundary footprint, plus
+  // the final candidates: the same number of oracle calls.
   LogicalPlan plan = MakeSyntheticPipeline(6, 1e6, 44);
   const EnumerationContext ctx = MakeCtx(plan);
   TraditionalOptions options;
@@ -159,6 +161,9 @@ TEST_F(TraditionalEnumeratorTest, SubplanCountsMatchVectorizedCounts) {
   ASSERT_TRUE(vector_result.ok());
   EXPECT_EQ(object_result->stats.subplans_created,
             vector_result->stats.vectors_created);
+  EXPECT_GT(vector_result->stats.rows_unscored, 0u);
+  EXPECT_EQ(object_result->stats.subplans_costed,
+            vector_result->stats.oracle_rows);
 }
 
 }  // namespace
