@@ -11,7 +11,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "ml/simd_dispatch.h"
 
 namespace robopt {
 namespace {
@@ -343,8 +342,10 @@ void MergeRowInto(const EnumerationContext& ctx,
   const float* fa = a.features(row_a);
   const float* fb = b.features(row_b);
   // Cell-wise addition over the contiguous row — the Concat pair-space
-  // sweep's hot loop, through the active SIMD lane.
-  simd::Ops().add_rows_f32(f, fa, fb, width);
+  // sweep's hot loop. The pragma (enabled by -fopenmp-simd on this target)
+  // makes GCC vectorize it at -O2; see DESIGN.md, "Vector loops".
+#pragma omp simd
+  for (size_t c = 0; c < width; ++c) f[c] = fa[c] + fb[c];
   // The two max-merged cells (pipeline count, tuple size).
   const size_t pipeline_cell = schema.TopologyCell(Topology::kPipeline);
   f[pipeline_cell] = std::max(fa[pipeline_cell], fb[pipeline_cell]);
@@ -355,7 +356,9 @@ void MergeRowInto(const EnumerationContext& ctx,
   uint8_t* assign = out->assignment(row);
   const uint8_t* aa = a.assignment(row_a);
   const uint8_t* ab = b.assignment(row_b);
-  simd::Ops().or_bytes(assign, aa, ab, out->num_ops());
+  const size_t num_ops = out->num_ops();
+#pragma omp simd
+  for (size_t op = 0; op < num_ops; ++op) assign[op] = aa[op] | ab[op];
 
   // Conversion accounting on edges crossing the two scopes.
   uint16_t switches = a.switches(row_a) + b.switches(row_b);
@@ -422,13 +425,13 @@ constexpr size_t kPackedFootprintOps = 8;
 constexpr size_t kFlatFootprintCap = 512;
 
 /// Numbers distinct footprints in first-seen order. Packed keys live in a
-/// dense array probed with the SIMD dispatch shim's vector key compare:
-/// distinct footprints are few in the common case (platforms^|boundary|,
-/// tens on real plans), so the array sits in a couple of cache lines and a
-/// linear vector probe beats hashing. When a wide boundary does explode the
-/// footprint set, the index migrates to a hash map at kFlatFootprintCap
-/// keys, so the probe's O(distinct) cost cannot go quadratic. String keys
-/// (the wide-boundary fallback) always go through the hash map.
+/// dense array probed linearly: distinct footprints are few in the common
+/// case (platforms^|boundary|, tens on real plans), so the array sits in a
+/// couple of cache lines and a linear scan beats hashing. When a wide
+/// boundary does explode the footprint set, the index migrates to a hash
+/// map at kFlatFootprintCap keys, so the probe's O(distinct) cost cannot go
+/// quadratic. String keys (the wide-boundary fallback) always go through
+/// the hash map.
 template <typename Key>
 class FootprintIndex {
  public:
@@ -436,8 +439,10 @@ class FootprintIndex {
   uint32_t Intern(const Key& key) {
     if constexpr (std::is_same_v<Key, uint64_t>) {
       if (index_.empty()) {
-        const size_t slot = find_u64_(keys_.data(), keys_.size(), key);
-        if (slot < keys_.size()) return static_cast<uint32_t>(slot);
+        const auto it = std::find(keys_.begin(), keys_.end(), key);
+        if (it != keys_.end()) {
+          return static_cast<uint32_t>(it - keys_.begin());
+        }
         keys_.push_back(key);
         if (keys_.size() >= kFlatFootprintCap) {
           index_.reserve(2 * keys_.size());
@@ -458,7 +463,6 @@ class FootprintIndex {
   const std::vector<Key>& keys() const { return keys_; }
 
  private:
-  decltype(simd::OpsTable::find_u64) find_u64_ = simd::Ops().find_u64;
   std::vector<Key> keys_;
   std::unordered_map<Key, uint32_t> index_;
 };

@@ -19,10 +19,8 @@ namespace robopt {
 /// Flattening is a pure data-layout + scheduling change: traversal
 /// decisions, leaf values and accumulation order match the per-tree
 /// reference path (RandomForest::PredictBatchReference) exactly, so
-/// predictions are bit-identical to it for every thread count and every
-/// SIMD dispatch lane. The walk itself is plain scalar C++ on every lane;
-/// the lanes only speed up Concat and PruneBoundary (see DESIGN.md,
-/// "Forest kernel").
+/// predictions are bit-identical to it for every thread count. The walk
+/// is plain scalar C++ (see DESIGN.md, "Forest kernel").
 class ForestKernel {
  public:
   /// Rows per inference block. Fixed (never derived from the thread count)
@@ -49,7 +47,7 @@ class ForestKernel {
   /// exactly as RandomForest does. A split on a feature index >= `dim`
   /// reads 0, like the reference. `num_threads`: 0 = hardware concurrency,
   /// 1 = serial. Results are bit-identical to the reference for every
-  /// thread count and dispatch lane. An empty kernel predicts all zeros.
+  /// thread count. An empty kernel predicts all zeros.
   void PredictBatch(const float* x, size_t n, size_t dim, float* out,
                     bool log_label, int num_threads) const;
 

@@ -60,8 +60,8 @@ class RandomForest : public RuntimeModel {
   /// (transformed) labels.
   Status Train(const MlDataset& data) override;
   /// Batch inference through the flattened SoA ForestKernel (built by
-  /// Train/Load). Bit-identical to PredictBatchReference on every SIMD
-  /// dispatch lane and thread count.
+  /// Train/Load). Bit-identical to PredictBatchReference at every thread
+  /// count.
   void PredictBatch(const float* x, size_t n, size_t dim,
                     float* out) const override;
   /// Reference implementation: the blocked per-DecisionTree walk the kernel

@@ -21,9 +21,9 @@ double ProcessUptimeSeconds();
 /// Sets the fleet-dashboard process gauges into `registry`:
 ///   robopt_build_info{version="...",lane="...",no_obs="0|1"} 1
 ///   robopt_uptime_seconds <seconds>
-/// `simd_lane` is the active SIMD dispatch lane name (the caller owns the
-/// ml dependency; obs stays lane-agnostic). Label values are escaped per
-/// the Prometheus exposition format.
+/// `simd_lane` names the vector instruction set the build targeted (the
+/// caller reads it from ml/simd_dispatch.h; obs stays lane-agnostic). Label
+/// values are escaped per the Prometheus exposition format.
 void ExportBuildInfo(MetricsRegistry* registry, std::string_view simd_lane);
 
 }  // namespace robopt

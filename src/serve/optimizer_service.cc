@@ -981,7 +981,7 @@ MetricsSnapshot OptimizerService::SnapshotMetrics() const {
                  latency_sketch_->Quantile(0.99, 0.0, now_s));
   }
   // Tracer ring health and the build-info/uptime process gauges (the lane
-  // string comes from the ml dispatcher — obs stays lane-agnostic).
+  // string comes from ml/simd_dispatch.h — obs stays lane-agnostic).
   tracer_.ExportTo(&metrics_);
   ExportBuildInfo(&metrics_, simd::LaneName(simd::ActiveLane()));
   return metrics_.Snapshot();

@@ -193,9 +193,12 @@ bool RowsMatch(const EnumerationContext& ctx, const PlanVectorEnumeration& a,
   return true;
 }
 
-TEST(ConcatPropertyTest, BoundaryAndRowsMatchReferenceOnRandomPlans) {
+/// Random Concat sequences over kPlans seeded plans on `registry`, at 1 and
+/// 4 threads, each merge checked by RowsMatch. Sets `*saw_ops_remainder`
+/// when a plan has more than 16 operators and a count not a multiple of 16.
+void CheckRandomConcats(const PlatformRegistry& registry,
+                        bool* saw_ops_remainder) {
   constexpr int kPlans = 40;
-  const PlatformRegistry registry = PlatformRegistry::Default(4);
   const FeatureSchema schema(&registry);
   const LinearFeatureOracle oracle(schema, 7);
   for (int threads : {1, 4}) {
@@ -204,6 +207,9 @@ TEST(ConcatPropertyTest, BoundaryAndRowsMatchReferenceOnRandomPlans) {
     for (int p = 0; p < kPlans; ++p) {
       const uint64_t seed = 0xc0ca7000ULL + static_cast<uint64_t>(p);
       const LogicalPlan plan = RandomPlan(seed);
+      if (plan.num_operators() > 16 && plan.num_operators() % 16 != 0) {
+        *saw_ops_remainder = true;
+      }
       auto made = EnumerationContext::Make(&plan, &registry, &schema);
       ASSERT_TRUE(made.ok()) << "seed " << seed << ": "
                              << made.status().ToString();
@@ -226,9 +232,11 @@ TEST(ConcatPropertyTest, BoundaryAndRowsMatchReferenceOnRandomPlans) {
         const PlanVectorEnumeration a = Subsample(enums[i], side_rows);
         const PlanVectorEnumeration b = Subsample(enums[j], side_rows);
         PlanVectorEnumeration merged = Concat(ctx, a, b, threads);
-        const std::string where = "seed " + std::to_string(seed) + ", " +
-                                  std::to_string(threads) + " threads, merge " +
-                                  std::to_string(merges);
+        const std::string where =
+            "seed " + std::to_string(seed) + ", " +
+            std::to_string(registry.num_platforms()) + " platforms, " +
+            std::to_string(threads) + " threads, merge " +
+            std::to_string(merges);
         ++merges;
         if (merged.size() >= kParallelCutoverRows) ++sharded_merges;
         ASSERT_EQ(merged.boundary(), ComputeBoundary(ctx, merged.scope()))
@@ -245,8 +253,29 @@ TEST(ConcatPropertyTest, BoundaryAndRowsMatchReferenceOnRandomPlans) {
                 static_cast<size_t>(plan.num_operators()));
     }
     EXPECT_GT(merges, 1000u);
-    EXPECT_GT(sharded_merges, 0u) << threads << " threads";
+    EXPECT_GT(sharded_merges, 0u)
+        << registry.num_platforms() << " platforms, " << threads << " threads";
   }
+}
+
+TEST(ConcatPropertyTest, BoundaryAndRowsMatchReferenceOnRandomPlans) {
+  // MergeRowInto's feature add and assignment OR are vector loops over 16
+  // bytes at a time: 4 floats or 16 operator bytes. Their remainder
+  // iterations run only when a row is not a whole number of vectors, so the
+  // sample must hold rows with both a vector body and a remainder. The last
+  // feature cell is max-merged over the sum, so a width of 4k + 1 (297 cells
+  // with 4 platforms) leaves no checked cell in the float remainder. With 5
+  // platforms the row has 314 cells, and the remainder also holds the
+  // engine-to-relational conversion's output cardinality.
+  bool saw_width_remainder = false;
+  bool saw_ops_remainder = false;
+  for (int platforms : {4, 5}) {
+    const PlatformRegistry registry = PlatformRegistry::Default(platforms);
+    if (FeatureSchema(&registry).width() % 4 > 1) saw_width_remainder = true;
+    CheckRandomConcats(registry, &saw_ops_remainder);
+  }
+  EXPECT_TRUE(saw_width_remainder);
+  EXPECT_TRUE(saw_ops_remainder);
 }
 
 }  // namespace

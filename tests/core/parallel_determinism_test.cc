@@ -160,6 +160,25 @@ TEST_F(ParallelDeterminismTest, PackedKeysGroupLikeStringKeys) {
   ASSERT_LE(v.boundary().size(), 8u);
   LinearFeatureOracle oracle(schema_, 41);
   ExpectMatchesStringReference(ctx, v, oracle);
+
+  // Past the 512-key flat probe: a non-contiguous subset makes every chosen
+  // operator but the interior operator 2 a boundary operator, so 4^6 = 4096
+  // rows carry 4^5 = 1024 distinct footprints and the packed index migrates
+  // to its hash map mid-scan.
+  PlatformRegistry registry4 = PlatformRegistry::Synthetic(4);
+  FeatureSchema schema4(&registry4);
+  LogicalPlan plan11 = MakeSyntheticPipeline(11, 1e5, 43);
+  auto made = EnumerationContext::Make(&plan11, &registry4, &schema4);
+  ASSERT_TRUE(made.ok());
+  const EnumerationContext ctx4 = std::move(made).value();
+  AbstractPlanVector subset;
+  subset.ops = {1, 2, 3, 5, 7, 9};
+  const PlanVectorEnumeration past_cap = Enumerate(ctx4, subset);
+  ASSERT_EQ(past_cap.size(), 4096u);
+  ASSERT_LE(past_cap.boundary().size(), 8u);
+  LinearFeatureOracle oracle4(schema4, 47);
+  EXPECT_EQ(PruneBoundary(ctx4, past_cap, oracle4).size(), 1024u);
+  ExpectMatchesStringReference(ctx4, past_cap, oracle4);
 }
 
 TEST_F(ParallelDeterminismTest, WideBoundaryFallsBackToStringKeys) {
