@@ -354,7 +354,9 @@ void ExpectFullCoverage(const Coverage& coverage, int threads) {
   EXPECT_GT(coverage.none_contested, 0u);
   EXPECT_GT(coverage.all_contested, 0u);
   EXPECT_GT(coverage.harvests, 0u);
-  if (threads > 1) EXPECT_GT(coverage.sharded, 0u);
+  if (threads > 1) {
+    EXPECT_GT(coverage.sharded, 0u);
+  }
 }
 
 TEST(PruneContestedPropertyTest, LinearOracleMatchesScoreEveryRow) {

@@ -3,8 +3,9 @@
 ///     multi-platform registry, exported to a loadable Chrome trace;
 ///   - the optimize profile's phases, Algorithm 1's queue included, fit in
 ///     the call's total;
-///   - bit-identical results with observability on vs. off, model
-///     training (TDGEN + forest fit spans and metrics) included;
+///   - bit-identical results with observability on vs. off, for a linear
+///     and a forest oracle, model training (TDGEN + forest fit spans and
+///     metrics) included;
 ///   - snapshot-vs-struct equality for every stats struct with an
 ///     ExportTo() hook (serve, feedback, plan cache, drift, recovery,
 ///     breakers);
@@ -19,11 +20,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/cost_oracle.h"
 #include "core/linear_oracle.h"
 #include "core/optimizer.h"
 #include "exec/executor.h"
+#include "ml/random_forest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -194,8 +199,27 @@ TEST_F(ObsRoundTripTest, OptimizeProfilePhasesFitInTotal) {
 }
 
 TEST_F(ObsRoundTripTest, ObservabilityOnAndOffAreBitIdentical) {
-  auto base = optimizer_.Optimize(plan_);
-  ASSERT_TRUE(base.ok());
+  // Two inputs: the linear oracle on WordCount, and a forest oracle on an
+  // enumeration-heavy 16-operator pipeline (the paper's optimizer in its
+  // real configuration; the forest's fit on random rows is irrelevant).
+  MlDataset data(schema_.width());
+  Rng rng(17);
+  std::vector<float> feature_row(schema_.width());
+  for (int i = 0; i < 512; ++i) {
+    for (float& cell : feature_row) {
+      cell = static_cast<float>(rng.NextUniform(0, 100));
+    }
+    data.Add(feature_row, static_cast<float>(rng.NextUniform(0, 1000)));
+  }
+  RandomForest::Params params;
+  params.num_trees = 10;
+  params.num_threads = 1;
+  RandomForest forest(params);
+  ASSERT_TRUE(forest.Train(data).ok());
+  const MlCostOracle forest_oracle(&forest);
+  const RoboptOptimizer forest_optimizer(&registry_, &schema_,
+                                         &forest_oracle);
+  const LogicalPlan heavy = MakeSyntheticPipeline(16, 1e7, 3);
 
   MetricsRegistry metrics;
   Tracer tracer(1024);
@@ -203,19 +227,28 @@ TEST_F(ObsRoundTripTest, ObservabilityOnAndOffAreBitIdentical) {
   opt.obs.metrics = &metrics;
   opt.obs.tracer = &tracer;
   opt.obs.profile = true;
-  auto observed = optimizer_.Optimize(plan_, nullptr, opt);
-  ASSERT_TRUE(observed.ok());
+  const std::pair<const RoboptOptimizer*, const LogicalPlan*> inputs[] = {
+      {&optimizer_, &plan_}, {&forest_optimizer, &heavy}};
+  for (const auto& [optimizer, plan] : inputs) {
+    SCOPED_TRACE(plan->num_operators());
+    auto base = optimizer->Optimize(*plan);
+    ASSERT_TRUE(base.ok());
+    auto observed = optimizer->Optimize(*plan, nullptr, opt);
+    ASSERT_TRUE(observed.ok());
 
-  for (const LogicalOperator& op : plan_.operators()) {
-    EXPECT_EQ(observed->plan.alt_index(op.id), base->plan.alt_index(op.id));
+    for (const LogicalOperator& op : plan->operators()) {
+      EXPECT_EQ(observed->plan.alt_index(op.id), base->plan.alt_index(op.id));
+    }
+    EXPECT_EQ(observed->predicted_runtime_s, base->predicted_runtime_s);
+    EXPECT_EQ(observed->stats.vectors_created, base->stats.vectors_created);
+    EXPECT_EQ(observed->stats.vectors_pruned, base->stats.vectors_pruned);
+    EXPECT_EQ(observed->stats.final_vectors, base->stats.final_vectors);
+    EXPECT_EQ(observed->stats.concat_steps, base->stats.concat_steps);
+    EXPECT_EQ(observed->stats.oracle_rows, base->stats.oracle_rows);
+    EXPECT_EQ(observed->stats.oracle_batches, base->stats.oracle_batches);
   }
-  EXPECT_EQ(observed->predicted_runtime_s, base->predicted_runtime_s);
-  EXPECT_EQ(observed->stats.vectors_created, base->stats.vectors_created);
-  EXPECT_EQ(observed->stats.vectors_pruned, base->stats.vectors_pruned);
-  EXPECT_EQ(observed->stats.final_vectors, base->stats.final_vectors);
-  EXPECT_EQ(observed->stats.concat_steps, base->stats.concat_steps);
-  EXPECT_EQ(observed->stats.oracle_rows, base->stats.oracle_rows);
-  EXPECT_EQ(observed->stats.oracle_batches, base->stats.oracle_batches);
+  auto base = optimizer_.Optimize(plan_);
+  ASSERT_TRUE(base.ok());
 
   // Same contract on the executor, fault layer included.
   ExecutorOptions plain;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -7,6 +8,7 @@
 
 #include "core/optimizer.h"
 #include "serve/model_registry.h"
+#include "serve/optimizer_service.h"
 #include "workloads/synthetic.h"
 
 namespace robopt {
@@ -170,6 +172,80 @@ TEST_F(HotSwapTest, PinnedVersionSurvivesPublishMidCall) {
   EXPECT_EQ(pinned_out, direct_out);
   EXPECT_EQ(pinned.version, 1u);
   EXPECT_EQ(models.current_version(), 2u);
+}
+
+// The same contract one layer up, through the service: plan cache off so
+// every call runs the optimizer, two clients, and a publisher that keeps
+// republishing the v1 forest via PublishExternal. Every version in the storm
+// holds the same weights, so whichever one a call pins, its result must equal
+// the single-threaded reference bit for bit.
+TEST_F(HotSwapTest, ServicePromotionStormKeepsPredictionsBitIdentical) {
+  auto forest = TrainOn(SumLabel);
+  const Expected expected = ExpectedFor(*forest);
+  ServeOptions options;
+  options.background_retrain = false;
+  options.plan_cache_capacity = 0;
+  auto made = OptimizerService::Create(&registry_, &schema_,
+                                       MlDataset(schema_.width()), forest,
+                                       options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  OptimizerService* service = made->get();
+
+  constexpr int kClients = 2;
+  constexpr int kPromotions = 60;
+  constexpr int kCallsPerClient = 2 * kPromotions + 2;
+  std::atomic<int> calls{0};
+  std::atomic<int> mismatches{0};
+
+  // Calls and promotions advance in step: promotion p waits for 2p finished
+  // calls, and a client's call i waits for promotion i / 2. So promotions
+  // land while the other client's call is in flight, the first finished call
+  // saw v1, and each client's last call sees the final version.
+  std::thread publisher([&] {
+    for (int p = 1; p <= kPromotions; ++p) {
+      while (calls.load() < 2 * p) std::this_thread::yield();
+      service->PublishExternal(forest);
+    }
+  });
+  std::vector<uint64_t> first_version(kClients, 0);
+  std::vector<uint64_t> last_version(kClients, 0);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kCallsPerClient; ++i) {
+        const uint64_t floor = 1 + std::min(i / 2, kPromotions);
+        while (service->registry().current_version() < floor) {
+          std::this_thread::yield();
+        }
+        auto result = service->Optimize(plan_);
+        bool same = result.ok() &&
+                    result->optimize.predicted_runtime_s == expected.predicted;
+        for (const LogicalOperator& op : plan_.operators()) {
+          same = same &&
+                 result->optimize.plan.alt_index(op.id) == expected.alts[op.id];
+        }
+        if (same) {
+          if (i == 0) first_version[c] = result->optimize.model_version;
+          last_version[c] = result->optimize.model_version;
+        } else {
+          ++mismatches;
+        }
+        ++calls;
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  publisher.join();
+
+  EXPECT_EQ(mismatches.load(), 0) << "of " << calls.load() << " calls";
+  const uint64_t final_version = static_cast<uint64_t>(kPromotions) + 1;
+  EXPECT_EQ(service->registry().current_version(), final_version);
+  EXPECT_EQ(*std::min_element(first_version.begin(), first_version.end()),
+            1u);
+  EXPECT_EQ(*std::max_element(last_version.begin(), last_version.end()),
+            final_version);
+  EXPECT_EQ(service->Stats().plan_cache.hits, 0u);
 }
 
 }  // namespace

@@ -58,11 +58,12 @@ class RecoveryE2eTest : public ::testing::Test {
     return options;
   }
 
-  /// Executes `plan` assigned wholly to `platform` through an executor wired
-  /// to the service (observer + breakers), under an optional permanent fault
-  /// on that platform. Returns the execution status.
+  /// Executes `assigned` (by default `plan` assigned wholly to `platform`)
+  /// through an executor wired to the service (observer + breakers), under
+  /// an optional permanent fault on `platform`. Returns the execution status.
   static Status ExecuteOn(OptimizerService* service, const LogicalPlan& plan,
-                          PlatformId platform, bool inject_permanent_fault) {
+                          PlatformId platform, bool inject_permanent_fault,
+                          const ExecutionPlan* assigned = nullptr) {
     DataCatalog catalog;
     catalog.Bind(plan.SourceIds()[0], GenerateTextLines(1000, 1000, 5));
     ExecutorOptions exec_options;
@@ -75,7 +76,10 @@ class RecoveryE2eTest : public ::testing::Test {
                        /*permanent=*/true, /*slowdown=*/1.0});
     }
     Executor executor(registry_, cost_, nullptr, exec_options);
-    return executor.Execute(AllOn(plan, *registry_, platform), catalog)
+    return executor
+        .Execute(assigned != nullptr ? *assigned
+                                     : AllOn(plan, *registry_, platform),
+                 catalog)
         .status();
   }
 
@@ -157,6 +161,11 @@ TEST_F(RecoveryE2eTest, PermanentOutageTripsBreakerAndReoptimizesAroundIt) {
       // The lazy backstop on that shard found nothing left to drop.
       EXPECT_EQ(stats.recovery.plans_invalidated_on_trip, 1u);
     }
+    // The fallback runs clean while Spark stays dark.
+    EXPECT_TRUE(ExecuteOn(service->get(), plan, kSpark,
+                          /*inject_permanent_fault=*/true,
+                          &fallback->optimize.plan)
+                    .ok());
 
     // A query restricted to the dead platform alone has nowhere to run.
     EXPECT_FALSE((*service)->Optimize(plan, nullptr, spark_only).ok());
